@@ -13,7 +13,7 @@ from .errors import (GainsparseError, UsageError, UnsupportedGroupError,
                      BudgetExceededError, GenerationError,
                      InternalInvariantError)
 from .groups import (FREE1, CYCLIC, FREE2, CYCLIC_PQ, GroupSpec, GroupElem,
-                     add, neg, parse_elem, rank_of_span)
+                     parse_elem, rank_of_span)
 from .graphs import (Edge, SubgraphCounts, ColoredGraph, Subgraph, components,
                      spanning_forest, rho_image_basis, rho_rank,
                      subgraph_counts, graph_counts, gauge_normalize,
@@ -29,9 +29,9 @@ from .lifts import (SymmetricGraph, build_lift, lift_component_count,
                     eliminate_orbit_circuit, colored_graph_to_dot,
                     lift_to_dot, lift_to_text)
 from .henneberg import (H1c, H1cPrime, H2c, Family, CONSTRUCTIBLE, family_def,
-                        Certificate, apply_move, tight_in_family, is_base,
-                        reverse_candidates, deconstruct, verify_certificate,
-                        random_construct, parse_certificate,
-                        serialize_certificate)
+                        Certificate, apply_move, check, tight_in_family,
+                        is_base, reverse_candidates, deconstruct,
+                        verify_certificate, random_construct,
+                        parse_certificate, serialize_certificate)
 
 __version__ = "0.1.0"

@@ -13,19 +13,18 @@ import os
 import sys
 
 from .errors import (UsageError, ParseError, CertificateError,
-                     BudgetExceededError, PreconditionError,
-                     InternalInvariantError)
-from . import groups as G
-from .graphs import parse_colored_graph, serialize_colored_graph, ColoredGraph
-from .sparsity import (FAMILIES, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
-                       verdict_line, check_colored_sparsity, underlying,
-                       is_kl_sparse, is_kl_spanning, fundamental_circuit,
-                       _run_game, _subset_violates, _minimize_witness)
-from .lifts import (build_lift, cone_laman_via_lift, reduce_colors,
-                    colored_graph_to_dot, lift_to_dot, lift_to_text)
-from .henneberg import (CONSTRUCTIBLE, random_construct, deconstruct,
+                     BudgetExceededError)
+from .graphs import parse_colored_graph
+from .sparsity import FAMILIES, DEFAULT_BUDGET, verdict_line
+from .lifts import build_lift, colored_graph_to_dot, lift_to_dot, lift_to_text
+from .henneberg import (CONSTRUCTIBLE, check, random_construct, deconstruct,
                         verify_certificate, parse_certificate,
                         serialize_certificate)
+# Unused here: perfbench/spans.py patches these names on this module by
+# name, and fails if they are missing.
+from . import (check_colored_sparsity, cone_laman_via_lift,  # noqa: F401
+               fundamental_circuit, is_kl_sparse, is_kl_spanning,
+               reduce_colors)
 
 
 def _read(path):
@@ -48,129 +47,21 @@ def _load_graph(path):
     return parse_colored_graph(_read(path))
 
 
-def _odd_prime_cyclic(spec):
-    return (spec.variant == G.CYCLIC and spec.moduli[0] % 2 == 1
-            and G._is_prime(spec.moduli[0]))
-
-
-def _lift_witness(g, family):
-    """A minimal violating edge set for a graph whose lift check failed.
-
-    The pebble run over the lift yields a circuit; its base edges are a
-    set whose own lift is dependent, and stripping edges that are not
-    needed for dependence leaves a minimal such set, which must itself
-    break the count (were only a proper subset at fault, that subset's
-    lift would already be dependent).  The result is double-checked
-    against the count before being reported.
-    """
-    sg = build_lift(g)
-    mg = sg.multigraph()
-    _, accepted, rejected = _run_game(mg, 2, 3, stop_on_reject=True)
-    circuit = fundamental_circuit(mg, (2, 3), accepted, rejected[0])
-    keep = sorted({sg.edges[lid].base_eid for lid in circuit})
-    # one ascending pass reaches a minimal dependent set: an edge kept
-    # because removal broke dependence stays necessary as the set shrinks
-    for eid in list(keep):
-        if len(keep) == 1:
-            break
-        rest = [e for e in keep if e != eid]
-        if not is_kl_sparse(build_lift(_induced(g, rest)).multigraph(), (2, 3)):
-            keep = rest
-    witness = frozenset(keep)
-    if not _subset_violates(g, family, witness):
-        raise InternalInvariantError(
-            "projected lift circuit %r does not break the %s count"
-            % (sorted(witness), family))
-    return witness
-
-
-def _induced(g, edge_ids):
-    picked = [g.edge(e) for e in edge_ids]
-    verts = sorted({v for e in picked for v in (e.tail, e.head)})
-    return ColoredGraph(g.spec, verts,
-                        [(e.id, e.tail, e.head, e.color) for e in picked])
-
-
-def _disjoint_circuit_witness(g):
-    """Cylinder witness when the colored counts pass mod p but the
-    underlying graph is not (2,2)-spanning: two vertex-disjoint
-    (2,2)-circuits whose union breaks the cylinder count.  Disjointness
-    is forced, since inside a graph all of whose subsets meet the cone
-    count a connected region carries at most one circuit."""
-    umg = underlying(g)
-    _, accepted, rejected = _run_game(umg, 2, 2)
-    if len(rejected) < 2:
-        raise InternalInvariantError(
-            "spanning failed with %d rejected edges" % len(rejected))
-    c1 = fundamental_circuit(umg, (2, 2), accepted, rejected[0])
-    c2 = fundamental_circuit(umg, (2, 2), accepted, rejected[1])
-
-    def span(c):
-        return {v for eid in c for v in (g.edge(eid).tail, g.edge(eid).head)}
-
-    if span(c1) & span(c2):
-        raise InternalInvariantError("expected vertex-disjoint circuits")
-    witness = _minimize_witness(g, CYLINDER, frozenset(c1 | c2))
-    if not _subset_violates(g, CYLINDER, witness):
-        raise InternalInvariantError("disjoint circuits do not break the count")
-    return witness
-
-
-def _check_lift(g, family):
-    """Polynomial-time verdict via symmetric covers.  Only the cone and
-    cylinder families have a lift characterization, and it decides
-    tightness of graphs with m = 2n - 1 (for which sparse and tight
-    coincide), so anything else is rejected as usage."""
-    if family == CONE:
-        if not _odd_prime_cyclic(g.spec):
-            raise UsageError(
-                "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
-        if cone_laman_via_lift(g):
-            return Verdict(True, True, None)
-        return Verdict(False, False, _lift_witness(g, CONE))
-    if family == CYLINDER:
-        if g.spec.variant != G.FREE1:
-            raise UsageError("family cylinder expects Z colors, got %s" % g.spec)
-        if g.m != 2 * g.n - 1:
-            raise PreconditionError(
-                "method=lift decides tightness and needs m = 2n - 1; "
-                "got n=%d m=%d (use --method brute)" % (g.n, g.m))
-        reduced, _ = reduce_colors(g)
-        if not cone_laman_via_lift(reduced):
-            witness = _lift_witness(reduced, CONE)
-            if not _subset_violates(g, CYLINDER, witness):
-                raise InternalInvariantError(
-                    "reduced witness does not break the cylinder count")
-            return Verdict(False, False, witness)
-        if is_kl_spanning(underlying(g), (2, 2)):
-            return Verdict(True, True, None)
-        return Verdict(False, False, _disjoint_circuit_witness(g))
-    raise UsageError(
-        "method=lift supports families cone and cylinder, not %s" % family)
-
-
-def _check_one(g, family, method, budget):
-    if method == "lift":
-        return _check_lift(g, family)
-    return check_colored_sparsity(g, family, budget=budget)
-
-
 def _cmd_check(args):
     if os.path.isdir(args.file):
         names = sorted(f for f in os.listdir(args.file) if not f.startswith("."))
         if not names:
             raise UsageError("no files in %s" % args.file)
-        status = 0
-        for name in names:
-            g = _load_graph(os.path.join(args.file, name))
-            v = _check_one(g, args.family, args.method, args.budget)
-            print("%s: %s" % (name, verdict_line(v)))
-            if not v.sparse:
-                status = 1
-        return status
-    v = _check_one(_load_graph(args.file), args.family, args.method, args.budget)
-    print(verdict_line(v))
-    return 0 if v.sparse else 1
+        inputs = [(name + ": ", os.path.join(args.file, name)) for name in names]
+    else:
+        inputs = [("", args.file)]
+    status = 0
+    for prefix, path in inputs:
+        v = check(_load_graph(path), args.family, args.method, args.budget)
+        print(prefix + verdict_line(v))
+        if not v.sparse:
+            status = 1
+    return status
 
 
 def _cmd_lift(args):
@@ -266,13 +157,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print("error: %s (try --method lift)" % exc, file=sys.stderr)
         return 3
-    except UsageError as exc:
+    except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

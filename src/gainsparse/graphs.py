@@ -385,7 +385,7 @@ def parse_colored_graph(text):
                 raise ParseError(lineno, "duplicate vertices line")
             if len(fields) != 2 or not fields[1].isdigit():
                 raise ParseError(lineno, "expected `vertices <n>`")
-            vertices = list(range(int(fields[1])))
+            vertices = known = range(int(fields[1]))
         elif kw == "vertexids":
             if vertices is not None:
                 raise ParseError(lineno, "duplicate vertices line")
@@ -395,6 +395,7 @@ def parse_colored_graph(text):
                 raise ParseError(lineno, "bad vertex id list") from None
             if not vertices:
                 raise ParseError(lineno, "vertexids needs at least one id")
+            known = set(vertices)
         elif kw == "edge":
             if spec is None or vertices is None:
                 raise ParseError(lineno, "edge before group/vertices")
@@ -405,7 +406,7 @@ def parse_colored_graph(text):
                 c = parse_elem(spec, fields[3])
             except (ValueError, UsageError) as exc:
                 raise ParseError(lineno, str(exc)) from None
-            if u not in vertices or v not in vertices:
+            if u not in known or v not in known:
                 raise ParseError(lineno, "edge endpoint not a declared vertex")
             edges.append((u, v, c))
         else:

@@ -181,6 +181,12 @@ class GroupElem:
         return all(c == 0 for c in self.coords)
 
     def __add__(self, other):
+        """Componentwise sum, reduced canonically.
+
+        >>> s = GroupSpec.cyclic(5)
+        >>> str(s.elem(3) + s.elem(4))
+        '2'
+        """
         if not isinstance(other, GroupElem):
             return NotImplemented
         if self.spec != other.spec:
@@ -212,21 +218,6 @@ class GroupElem:
 
     def __repr__(self):
         return "<%s in %s>" % (self, self.spec)
-
-
-def add(a, b):
-    """Componentwise sum, reduced canonically.
-
-    >>> s = GroupSpec.cyclic(5)
-    >>> str(add(s.elem(3), s.elem(4)))
-    '2'
-    """
-    return a + b
-
-
-def neg(a):
-    """Additive inverse, canonical form."""
-    return -a
 
 
 def parse_elem(spec, text):

@@ -19,6 +19,12 @@ about a certificate is trusted.  Deconstruction runs the moves
 backwards: repeatedly delete a vertex of degree two or three whose
 removal keeps the graph tight, then replay forward to emit moves whose
 edge ids match the replay, not the stripping order.
+
+check() is the library's verdict entry point.  It and tight_in_family
+share one lift route (_lift_failure): a Z/p graph with 2n-1 edges is
+cone-Laman exactly when its lift is Laman-sparse, and a Z graph is
+cylinder-tight exactly when its reduction mod a safe prime passes that
+test and its underlying graph is (2,2)-spanning.
 """
 
 import random
@@ -31,9 +37,11 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
 from . import groups as G
 from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
                      parse_colored_graph, serialize_colored_graph)
-from .lifts import cone_laman_via_lift, path_color_sum, reduce_colors
-from .sparsity import (ROSS, CONE, CYLINDER, check_colored_sparsity,
-                       is_kl_spanning, underlying)
+from .lifts import (cone_laman_via_lift, path_color_sum, reduce_colors,
+                    odd_prime_cyclic, lift_witness, disjoint_circuit_witness)
+from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
+                       check_colored_sparsity, is_kl_spanning, underlying,
+                       _subset_violates)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -154,23 +162,75 @@ def apply_move(g, m):
     return out
 
 
+def _lift_failure(g, family, spanning_first=False):
+    """The lift route for a cone graph over Z/p (p an odd prime) or a
+    cylinder graph over Z with m = 2n - 1.  Returns (failed, lifted):
+    failed is None when g is tight, "lift" when the lift of `lifted` (g,
+    or for cylinder its reduction mod a safe prime) is not Laman-sparse,
+    or "spanning" when the underlying graph is not (2,2)-spanning.  That
+    cheaper test runs first with spanning_first, else after the lift."""
+    if family == CONE:
+        return (None if cone_laman_via_lift(g) else "lift"), g
+    if spanning_first and not is_kl_spanning(underlying(g), (2, 2)):
+        return "spanning", None
+    reduced, _ = reduce_colors(g)
+    if not cone_laman_via_lift(reduced):
+        return "lift", reduced
+    if not spanning_first and not is_kl_spanning(underlying(g), (2, 2)):
+        return "spanning", reduced
+    return None, reduced
+
+
+def check(g, family, method="brute", budget=DEFAULT_BUDGET):
+    """Verdict for g in family.  method="brute" enumerates subgraphs,
+    refusing graphs above `budget` edges; method="lift" takes the
+    polynomial lift route, for cone graphs over Z/p (p an odd prime) and
+    cylinder graphs over Z with m = 2n - 1, where sparse means tight.
+    The witness of a violation comes from the lift when it fails.
+
+    >>> z5 = G.GroupSpec.cyclic(5)
+    >>> g = ColoredGraph(z5, [0], [(0, 0, 0, 2)])
+    >>> check(g, "cone", method="lift")
+    Verdict(sparse=True, tight=True, witness=None)
+    """
+    if method == "brute":
+        return check_colored_sparsity(g, family, budget=budget)
+    if method != "lift":
+        raise UsageError("method is brute or lift, not %r" % (method,))
+    if family not in (CONE, CYLINDER):
+        raise UsageError(
+            "method=lift supports families cone and cylinder, not %s" % family)
+    if family == CONE and not odd_prime_cyclic(g.spec):
+        raise UsageError(
+            "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
+    if family == CYLINDER and g.spec.variant != G.FREE1:
+        raise UsageError("family cylinder expects Z colors, got %s" % g.spec)
+    if family == CYLINDER and g.m != 2 * g.n - 1:
+        raise PreconditionError(
+            "method=lift decides tightness and needs m = 2n - 1; "
+            "got n=%d m=%d (use --method brute)" % (g.n, g.m))
+    failed, lifted = _lift_failure(g, family)
+    if failed is None:
+        return Verdict(True, True, None)
+    if failed == "spanning":
+        return Verdict(False, False, disjoint_circuit_witness(g))
+    witness = lift_witness(lifted)
+    if family == CYLINDER and not _subset_violates(g, CYLINDER, witness):
+        raise InternalInvariantError(
+            "reduced witness does not break the cylinder count")
+    return Verdict(False, False, witness)
+
+
 def tight_in_family(g, family):
     """Decide tightness by the fastest route that is actually a theorem:
-    the symmetric-lift pebble game for odd-prime cone graphs, the mod-p
-    reduction plus a (2,2)-spanning check for cylinder graphs, and the
-    brute-force count otherwise (Ross stays brute force on purpose; the
-    budget keeps it at desk scale)."""
-    if family == CONE and g.spec.variant == G.CYCLIC:
-        k = g.spec.moduli[0]
-        if k % 2 == 1 and G._is_prime(k):
-            return g.m == 2 * g.n - 1 and cone_laman_via_lift(g)
-    if family == CYLINDER and g.spec.variant == G.FREE1:
-        if g.m != 2 * g.n - 1:
-            return False
-        if not is_kl_spanning(underlying(g), (2, 2)):
-            return False
-        reduced, _ = reduce_colors(g)
-        return cone_laman_via_lift(reduced)
+    the lift route shared with check (_lift_failure) for odd-prime cone
+    graphs and for cylinder graphs, which run its cheap (2,2)-spanning
+    test first, and the brute-force count otherwise (Ross stays brute
+    force on purpose; the budget keeps it at desk scale)."""
+    if ((family == CONE and odd_prime_cyclic(g.spec))
+            or (family == CYLINDER and g.spec.variant == G.FREE1)):
+        return (g.m == 2 * g.n - 1
+                and _lift_failure(g, family, spanning_first=True)[0] is None)
     return check_colored_sparsity(g, family).tight
 
 

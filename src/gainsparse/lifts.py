@@ -11,8 +11,9 @@ polynomial time routes through here: the lift of a Z/p-colored graph with
 2n-1 edges is Laman-sparse exactly when the base is cone-Laman, a
 connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
-Z or Z^2 colors are first reduced modulo safe primes that no cycle sum
-can reach.
+Z colors are first reduced modulo a safe prime that no cycle sum can
+reach.  When a lift check fails, lift_witness and disjoint_circuit_witness
+turn the failure into a minimal violating edge set of the base graph.
 """
 
 from collections import namedtuple
@@ -20,9 +21,10 @@ from collections import namedtuple
 from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
                      InternalInvariantError)
 from . import groups as G
-from .graphs import ColoredGraph, components
-from .sparsity import (UncoloredMultigraph, kl_basis, is_kl_sparse,
-                       fundamental_circuit, _run_game)
+from .graphs import ColoredGraph, Subgraph, components
+from .sparsity import (CONE, CYLINDER, UncoloredMultigraph, underlying,
+                       kl_basis, is_kl_sparse, fundamental_circuit, _run_game,
+                       _subset_violates, _minimize_witness)
 
 LiftEdge = namedtuple("LiftEdge", ["id", "x", "y", "base_eid", "gamma_index"])
 
@@ -90,13 +92,17 @@ class SymmetricGraph:
         return "SymmetricGraph(over %s, n=%d, m=%d)" % (self.base.spec, self.n, self.m)
 
 
+def odd_prime_cyclic(spec):
+    """Is spec Z/p for an odd prime p, the cyclic groups lifts exist over?"""
+    return (spec.variant == G.CYCLIC and spec.moduli[0] % 2 == 1
+            and G._is_prime(spec.moduli[0]))
+
+
 def _require_liftable(spec):
-    if spec.variant == G.CYCLIC:
-        k = spec.moduli[0]
-        if k == 2 or not G._is_prime(k):
-            raise UnsupportedGroupError(
-                "lifts need an odd prime modulus, got Z/%d" % k)
-    elif spec.variant != G.CYCLIC_PQ:
+    if spec.variant == G.CYCLIC and not odd_prime_cyclic(spec):
+        raise UnsupportedGroupError(
+            "lifts need an odd prime modulus, got Z/%d" % spec.moduli[0])
+    if not spec.finite:
         raise UnsupportedGroupError("cannot lift over the infinite group %s" % spec)
 
 
@@ -196,37 +202,89 @@ def _next_odd_prime(above):
 
 
 def reduce_colors(g):
-    """Reduce Z colors mod a safe prime (Z^2 componentwise mod distinct
-    safe primes).  Returns (reduced graph, primes tuple).
+    """Reduce Z colors mod a safe prime.  Returns (reduced graph, (p,)).
 
-    The prime for a coordinate is the smallest odd prime exceeding twice
-    (the sum of that coordinate's absolute values + 1), so no fundamental
-    cycle sum can wrap: every cycle's value has magnitude at most the sum
-    of all color magnitudes, marginally below p/2, and differences of two
-    such sums stay in (-p, p).  Zero/nonzero and independence patterns of
-    every subgraph are therefore preserved.
+    p is the smallest odd prime exceeding twice (the sum of the color
+    magnitudes + 1), so no fundamental cycle sum can wrap: every cycle's
+    value has magnitude at most the sum of all color magnitudes,
+    marginally below p/2, and differences of two such sums stay in
+    (-p, p).  Whether a subgraph's cycle sums are all zero is therefore
+    preserved.
     """
-    if g.spec.variant == G.FREE1:
-        total = sum(abs(e.color.coords[0]) for e in g.edges)
-        p = _next_odd_prime(2 * (total + 1))
-        spec = G.GroupSpec.cyclic(p)
-        out = ColoredGraph(spec, g.vertices,
-                           [(e.id, e.tail, e.head, spec.elem(e.color.coords[0]))
-                            for e in g.edges])
-        return out, (p,)
-    if g.spec.variant == G.FREE2:
-        t0 = sum(abs(e.color.coords[0]) for e in g.edges)
-        t1 = sum(abs(e.color.coords[1]) for e in g.edges)
-        p = _next_odd_prime(2 * (t0 + 1))
-        q = _next_odd_prime(2 * (t1 + 1))
-        if q == p:
-            q = _next_odd_prime(p)
-        spec = G.GroupSpec.cyclic_pq(p, q)
-        out = ColoredGraph(spec, g.vertices,
-                           [(e.id, e.tail, e.head, spec.elem(*e.color.coords))
-                            for e in g.edges])
-        return out, (p, q)
-    raise UsageError("reduce_colors expects Z or Z^2 colors, got %s" % g.spec)
+    if g.spec.variant != G.FREE1:
+        raise UsageError("reduce_colors expects Z colors, got %s" % g.spec)
+    total = sum(abs(e.color.coords[0]) for e in g.edges)
+    p = _next_odd_prime(2 * (total + 1))
+    spec = G.GroupSpec.cyclic(p)
+    out = ColoredGraph(spec, g.vertices,
+                       [(e.id, e.tail, e.head, spec.elem(e.color.coords[0]))
+                        for e in g.edges])
+    return out, (p,)
+
+
+# --- witnesses -----------------------------------------------------------
+
+
+def lift_witness(g):
+    """A minimal cone-violating edge set for a graph whose lift check
+    failed.
+
+    The pebble run over the lift yields a circuit; its base edges are a
+    set whose own lift is dependent, and stripping edges that are not
+    needed for dependence leaves a minimal such set, which must itself
+    break the count (were only a proper subset at fault, that subset's
+    lift would already be dependent).  The result is double-checked
+    against the count before being reported.
+    """
+    sg = build_lift(g)
+    mg = sg.multigraph()
+    _, accepted, rejected = _run_game(mg, 2, 3, stop_on_reject=True)
+    circuit = fundamental_circuit(mg, (2, 3), accepted, rejected[0])
+    keep = sorted({sg.edges[lid].base_eid for lid in circuit})
+    # one ascending pass reaches a minimal dependent set: an edge kept
+    # because removal broke dependence stays necessary as the set shrinks
+    for eid in list(keep):
+        if len(keep) == 1:
+            break
+        rest = [e for e in keep if e != eid]
+        if not is_kl_sparse(build_lift(_induced(g, rest)).multigraph(), (2, 3)):
+            keep = rest
+    witness = frozenset(keep)
+    if not _subset_violates(g, CONE, witness):
+        raise InternalInvariantError(
+            "projected lift circuit %r does not break the cone count"
+            % sorted(witness))
+    return witness
+
+
+def _induced(g, edge_ids):
+    sub = Subgraph(g, edge_ids)
+    return ColoredGraph(g.spec, sorted(sub.vertex_set), sub.edges())
+
+
+def disjoint_circuit_witness(g):
+    """Cylinder witness when the colored counts pass mod p but the
+    underlying graph is not (2,2)-spanning: two vertex-disjoint
+    (2,2)-circuits whose union breaks the cylinder count.  Disjointness
+    is forced, since inside a graph all of whose subsets meet the cone
+    count a connected region carries at most one circuit."""
+    umg = underlying(g)
+    _, accepted, rejected = _run_game(umg, 2, 2)
+    if len(rejected) < 2:
+        raise InternalInvariantError(
+            "spanning failed with %d rejected edges" % len(rejected))
+    c1 = fundamental_circuit(umg, (2, 2), accepted, rejected[0])
+    c2 = fundamental_circuit(umg, (2, 2), accepted, rejected[1])
+
+    def span(c):
+        return {v for eid in c for v in (g.edge(eid).tail, g.edge(eid).head)}
+
+    if span(c1) & span(c2):
+        raise InternalInvariantError("expected vertex-disjoint circuits")
+    witness = _minimize_witness(g, CYLINDER, frozenset(c1 | c2))
+    if not _subset_violates(g, CYLINDER, witness):
+        raise InternalInvariantError("disjoint circuits do not break the count")
+    return witness
 
 
 # --- orbit circuits ------------------------------------------------------

@@ -157,10 +157,11 @@ def test_check_directory_stops_on_bad_file(tmp_path):
     assert "line 1" in err
 
 
-def test_brute_and_lift_verdicts_agree(tmp_path):
+@pytest.mark.parametrize("family", ["cone", "cylinder"])
+def test_brute_and_lift_verdicts_agree(tmp_path, family):
     from gainsparse import random_construct
     for seed in range(12):
-        cert = random_construct("cone", seed % 4, seed)
+        cert = random_construct(family, seed % 4, seed)
         g = verify_certificate(cert)
         rng = random.Random(seed)
         if seed % 2:
@@ -168,15 +169,33 @@ def test_brute_and_lift_verdicts_agree(tmp_path):
             edges = [(e.id, e.tail, e.head, e.color) for e in g.edges]
             i = rng.randrange(len(edges))
             eid, t, h, _ = edges[i]
-            edges[i] = (eid, t, h, (rng.randrange(g.spec.moduli[0]),))
+            if family == "cone":
+                color = rng.randrange(g.spec.moduli[0])
+            else:
+                color = rng.randint(-3, 3)
+            edges[i] = (eid, t, h, (color,))
             g = ColoredGraph(g.spec, list(g.vertices), edges)
         f = write_graph(tmp_path / ("g%d.txt" % seed), g)
-        cb, ob, _ = run_cli(["check", f, "--family", "cone"])
-        cl, ol, _ = run_cli(["check", f, "--family", "cone",
+        cb, ob, _ = run_cli(["check", f, "--family", family])
+        cl, ol, _ = run_cli(["check", f, "--family", family,
                              "--method", "lift"])
         # witness edge sets may differ between methods; the verdict
         # word and the exit status may not
         assert (cb, ob.split()[0]) == (cl, ol.split()[0]), "seed %d" % seed
+
+
+@pytest.mark.parametrize("method", ["brute", "lift"])
+def test_cylinder_disjoint_circuits_violate(tmp_path, method):
+    # the reduced lift passes, but the underlying graph carries two
+    # vertex-disjoint (2,2)-circuits: the loops at 0 and at 2
+    f = write_graph(tmp_path / "two.txt",
+                    ColoredGraph(Z, range(3),
+                                 [(0, 0, 0, (1,)), (1, 2, 2, (1,)),
+                                  (2, 0, 1, (0,)), (3, 1, 2, (0,)),
+                                  (4, 0, 1, (1,))]))
+    code, out, err = run_cli(["check", f, "--family", "cylinder",
+                              "--method", method])
+    assert (code, out.strip(), err) == (1, "VIOLATION 0 1", "")
 
 
 @pytest.mark.parametrize("family", ["ross", "cone", "cylinder"])

@@ -1,6 +1,7 @@
 """Colored multigraph structure, cycle images, gauge, and the text format."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +245,20 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as ei:
         parse_colored_graph("group Z^2\nvertices 1\nedge 0 0 1\n")
     assert ei.value.lineno == 3
+
+
+def test_parse_is_linear_in_the_edge_count():
+    # a chain where v joins v-1 and v-2; checking endpoints against a
+    # vertex list made parsing quadratic in n
+    n = 20000
+    edges = "".join("edge %d %d %d\n" % (u, v, (u + v) % 3)
+                    for v in range(2, n) for u in (v - 1, v - 2))
+    for header in ("vertices %d\n" % n,
+                   "vertexids %s\n" % " ".join(map(str, range(n)))):
+        t0 = time.perf_counter()
+        g = parse_colored_graph("group Z/3\n" + header + edges)
+        assert time.perf_counter() - t0 < 2.0
+        assert (g.n, g.m) == (n, 2 * n - 4)
 
 
 def test_flip_normalization():

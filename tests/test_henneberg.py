@@ -17,7 +17,9 @@ from gainsparse import (
     ParseError,
     PreconditionError,
     SparsityParams,
+    UsageError,
     apply_move,
+    check,
     check_colored_sparsity,
     deconstruct,
     family_def,
@@ -261,6 +263,13 @@ def test_random_construct_group_override():
     cert = random_construct("cone", 3, 1, group=spec)
     assert cert.base.spec == spec
     assert verify_certificate(cert).spec == spec
+
+
+def test_check_takes_brute_or_lift_only():
+    tight = (True, True, None)
+    assert check(CONE_BASE, "cone") == check(CONE_BASE, "cone", "lift") == tight
+    with pytest.raises(UsageError):
+        check(CONE_BASE, "cone", method="auto")
 
 
 @settings(deadline=None, max_examples=60)

@@ -177,12 +177,12 @@ def test_reduce_colors_fixed_cases():
     assert primes == (3,)
     assert all(e.color.is_zero() for e in rg.edges)
 
-    plane = ColoredGraph(Z2, [0, 1],
-                         [(0, 0, 1, (1, 0)), (1, 0, 1, (0, 1))])
-    rg, primes = reduce_colors(plane)
-    assert primes == (5, 7)
-    assert str(rg.spec) == "Z/5xZ/7"
-    assert [e.color.coords for e in rg.edges] == [(1, 0), (0, 1)]
+    # Z^2 is refused: componentwise reduction can raise a subgraph's
+    # lattice rank, e.g. loops (1,1) and (2,2) have rank 1 in Z^2 but
+    # rank 2 in Z/11xZ/13
+    plane = ColoredGraph(Z2, [0], [(0, 0, 0, (1, 1)), (1, 0, 0, (2, 2))])
+    with pytest.raises(UsageError):
+        reduce_colors(plane)
 
 
 @settings(deadline=None, max_examples=150)
