@@ -37,8 +37,10 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
 from . import groups as G
 from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
                      parse_colored_graph, serialize_colored_graph)
-from .lifts import (cone_laman_via_lift, path_color_sum, reduce_colors,
+from .lifts import (lift_rejection, path_color_sum, reduce_colors,
                     odd_prime_cyclic, lift_witness, disjoint_circuit_witness)
+# Unused here: perfbench/spans.py patches it by name and fails without.
+from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
                        check_colored_sparsity, is_kl_spanning, underlying,
                        _subset_violates)
@@ -164,21 +166,22 @@ def apply_move(g, m):
 
 def _lift_failure(g, family, spanning_first=False):
     """The lift route for a cone graph over Z/p (p an odd prime) or a
-    cylinder graph over Z with m = 2n - 1.  Returns (failed, lifted):
-    failed is None when g is tight, "lift" when the lift of `lifted` (g,
-    or for cylinder its reduction mod a safe prime) is not Laman-sparse,
-    or "spanning" when the underlying graph is not (2,2)-spanning.  That
-    cheaper test runs first with spanning_first, else after the lift."""
-    if family == CONE:
-        return (None if cone_laman_via_lift(g) else "lift"), g
-    if spanning_first and not is_kl_spanning(underlying(g), (2, 2)):
+    cylinder graph over Z with m = 2n - 1.  Returns (failed, rejection):
+    failed is None when g is tight, "lift" when the lift of g (for
+    cylinder, of its reduction mod a safe prime) is not Laman-sparse, or
+    "spanning" when the underlying graph is not (2,2)-spanning.  That
+    cheaper test runs first with spanning_first, else after the lift.
+    rejection is lift_rejection's stuck run for "lift", else None."""
+    if (family == CYLINDER and spanning_first
+            and not is_kl_spanning(underlying(g), (2, 2))):
         return "spanning", None
-    reduced, _ = reduce_colors(g)
-    if not cone_laman_via_lift(reduced):
-        return "lift", reduced
-    if not spanning_first and not is_kl_spanning(underlying(g), (2, 2)):
-        return "spanning", reduced
-    return None, reduced
+    rejection = lift_rejection(g if family == CONE else reduce_colors(g)[0])
+    if rejection is not None:
+        return "lift", rejection
+    if (family == CYLINDER and not spanning_first
+            and not is_kl_spanning(underlying(g), (2, 2))):
+        return "spanning", None
+    return None, None
 
 
 def check(g, family, method="brute", budget=DEFAULT_BUDGET):
@@ -209,12 +212,12 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
         raise PreconditionError(
             "method=lift decides tightness and needs m = 2n - 1; "
             "got n=%d m=%d (use --method brute)" % (g.n, g.m))
-    failed, lifted = _lift_failure(g, family)
+    failed, rejection = _lift_failure(g, family)
     if failed is None:
         return Verdict(True, True, None)
     if failed == "spanning":
         return Verdict(False, False, disjoint_circuit_witness(g))
-    witness = lift_witness(lifted)
+    witness = lift_witness(rejection)
     if family == CYLINDER and not _subset_violates(g, CYLINDER, witness):
         raise InternalInvariantError(
             "reduced witness does not break the cylinder count")

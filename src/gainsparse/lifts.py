@@ -12,8 +12,9 @@ polynomial time routes through here: the lift of a Z/p-colored graph with
 connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
 Z colors are first reduced modulo a safe prime that no cycle sum can
-reach.  When a lift check fails, lift_witness and disjoint_circuit_witness
-turn the failure into a minimal violating edge set of the base graph.
+reach.  When the lift check fails, lift_witness shrinks the region its
+stuck pebble game reached, and disjoint_circuit_witness the cylinder
+spanning failure, to a minimal violating edge set of the base graph.
 """
 
 from collections import namedtuple
@@ -21,10 +22,12 @@ from collections import namedtuple
 from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
                      InternalInvariantError)
 from . import groups as G
-from .graphs import ColoredGraph, Subgraph, components
+from .graphs import ColoredGraph, components
 from .sparsity import (CONE, CYLINDER, UncoloredMultigraph, underlying,
-                       kl_basis, is_kl_sparse, fundamental_circuit, _run_game,
+                       fundamental_circuit, _run_game, _dependent, _shrink,
                        _subset_violates, _minimize_witness)
+# Unused here: perfbench/spans.py patches both by name and fails without.
+from .sparsity import kl_basis, is_kl_sparse  # noqa: F401
 
 LiftEdge = namedtuple("LiftEdge", ["id", "x", "y", "base_eid", "gamma_index"])
 
@@ -40,16 +43,14 @@ class SymmetricGraph:
 
     __slots__ = ("base", "group", "_gidx", "vertices", "_vidx", "edges", "_fiber")
 
-    def __init__(self, base, group, vertices, edges):
+    def __init__(self, base, group, gidx, vertices, vidx, edges, fiber):
         self.base = base
         self.group = group                       # list of GroupElem
-        self._gidx = {e.coords: i for i, e in enumerate(group)}
+        self._gidx = gidx                        # coords -> group index
         self.vertices = vertices                 # list of (i, gamma index)
-        self._vidx = {v: i for i, v in enumerate(vertices)}
+        self._vidx = vidx                        # vertex -> its index
         self.edges = edges                       # list of LiftEdge
-        self._fiber = {}
-        for e in edges:
-            self._fiber.setdefault(e.base_eid, []).append(e.id)
+        self._fiber = fiber                      # base edge id -> lift ids
 
     @property
     def n(self):
@@ -116,15 +117,14 @@ def build_lift(g):
     vertices = [(i, gi) for i in g.vertices for gi in range(len(group))]
     vidx = {v: i for i, v in enumerate(vertices)}
     edges = []
-    eid = 0
+    fiber = {}
     for e in sorted(g.edges):
+        fiber[e.id] = range(len(edges), len(edges) + len(group))
         for gi, gamma in enumerate(group):
             other = (e.color + gamma).coords
-            x = vidx[(e.tail, gi)]
-            y = vidx[(e.head, gidx[other])]
-            edges.append(LiftEdge(eid, x, y, e.id, gi))
-            eid += 1
-    return SymmetricGraph(g, group, vertices, edges)
+            edges.append(LiftEdge(len(edges), vidx[(e.tail, gi)],
+                                  vidx[(e.head, gidx[other])], e.id, gi))
+    return SymmetricGraph(g, group, gidx, vertices, vidx, edges, fiber)
 
 
 def _component_count(n, pairs):
@@ -179,17 +179,28 @@ def path_color_sum(g, edge_ai, i, edge_ib):
     return first + second
 
 
+def lift_rejection(g):
+    """Play the (2,3) pebble game on the lift of a graph with 2n-1 edges
+    up to its first rejection.  None when g is cone-Laman, else the stuck
+    run (sg, mg, game, f): the lift, its multigraph, the game and the
+    rejected lift edge id, for lift_witness."""
+    _require_liftable(g.spec)
+    if g.m != 2 * g.n - 1:
+        raise PreconditionError(
+            "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
+    sg = build_lift(g)
+    mg = sg.multigraph()
+    game, _, rejected = _run_game(mg, 2, 3, stop_on_reject=True)
+    return (sg, mg, game, rejected[0]) if rejected else None
+
+
 def cone_laman_via_lift(g):
     """Decide cone-Laman-ness of a graph with 2n-1 edges by testing its
     lift for (2,3)-sparsity with the pebble game.  This is the
     polynomial-time route; the brute-force count is the oracle it is
     checked against.
     """
-    _require_liftable(g.spec)
-    if g.m != 2 * g.n - 1:
-        raise PreconditionError(
-            "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
-    return is_kl_sparse(build_lift(g).multigraph(), (2, 3))
+    return lift_rejection(g) is None
 
 
 def _next_odd_prime(above):
@@ -225,41 +236,30 @@ def reduce_colors(g):
 # --- witnesses -----------------------------------------------------------
 
 
-def lift_witness(g):
-    """A minimal cone-violating edge set for a graph whose lift check
-    failed.
+def lift_witness(rejection):
+    """A minimal cone-violating base edge set from the stuck run
+    (sg, mg, game, f) of lift_rejection.
 
-    The pebble run over the lift yields a circuit; its base edges are a
-    set whose own lift is dependent, and stripping edges that are not
-    needed for dependence leaves a minimal such set, which must itself
-    break the count (were only a proper subset at fault, that subset's
-    lift would already be dependent).  The result is double-checked
-    against the count before being reported.
+    The search for lift edge f stuck in a region R holding at most 3
+    free pebbles, so R spans at least 2|R| - 3 accepted edges, dependent
+    with f.  The base edges below them have a dependent lift; shrinking
+    that set fiber by fiber in the same lift leaves a minimal such set,
+    which must itself break the count (were only a proper subset at
+    fault, that subset's lift would already be dependent).  The result
+    is double-checked against the count before being reported.
     """
-    sg = build_lift(g)
-    mg = sg.multigraph()
-    _, accepted, rejected = _run_game(mg, 2, 3, stop_on_reject=True)
-    circuit = fundamental_circuit(mg, (2, 3), accepted, rejected[0])
-    keep = sorted({sg.edges[lid].base_eid for lid in circuit})
-    # one ascending pass reaches a minimal dependent set: an edge kept
-    # because removal broke dependence stays necessary as the set shrinks
-    for eid in list(keep):
-        if len(keep) == 1:
-            break
-        rest = [e for e in keep if e != eid]
-        if not is_kl_sparse(build_lift(_induced(g, rest)).multigraph(), (2, 3)):
-            keep = rest
-    witness = frozenset(keep)
-    if not _subset_violates(g, CONE, witness):
+    sg, mg, game, f = rejection
+    edges = sg.edges
+    region = game.reachable(edges[f].x, edges[f].y)
+    seed = sorted({e.base_eid for e in edges[:f + 1]
+                   if e.x in region and e.y in region})
+    keep = _shrink(mg, 2, 3, [sg._fiber[b] for b in seed])
+    witness = frozenset(seed[j] for j in keep)
+    if not _subset_violates(sg.base, CONE, witness):
         raise InternalInvariantError(
             "projected lift circuit %r does not break the cone count"
             % sorted(witness))
     return witness
-
-
-def _induced(g, edge_ids):
-    sub = Subgraph(g, edge_ids)
-    return ColoredGraph(g.spec, sorted(sub.vertex_set), sub.edges())
 
 
 def disjoint_circuit_witness(g):
@@ -290,31 +290,19 @@ def disjoint_circuit_witness(g):
 # --- orbit circuits ------------------------------------------------------
 
 
-def _subset_multigraph(umg, edge_ids):
-    ids = sorted(edge_ids)
-    verts = sorted({v for eid in ids for v in umg._byid[eid][1:]})
-    return UncoloredMultigraph(verts, [umg._byid[eid] for eid in ids])
-
-
 def _is_circuit(umg, edge_ids):
     """A (2,3)-circuit: dependent as a whole, every proper subset sparse."""
     ids = sorted(edge_ids)
-    sub = _subset_multigraph(umg, ids)
-    if is_kl_sparse(sub, (2, 3)):
-        return False
-    for drop in ids:
-        rest = _subset_multigraph(umg, [x for x in ids if x != drop])
-        if not is_kl_sparse(rest, (2, 3)):
-            return False
-    return True
+    return (_dependent(umg, 2, 3, ids)
+            and not any(_dependent(umg, 2, 3, [x for x in ids if x != drop])
+                        for drop in ids))
 
 
 def _circuit_inside(umg, edge_ids, prefer_last):
     """Some (2,3)-circuit within a dependent edge set.  Edges in
     prefer_last are offered to the pebble game after all the others, which
     steers the circuit away from them where possible."""
-    ids = sorted(edge_ids)
-    order = [x for x in ids if x not in prefer_last] + [x for x in ids if x in prefer_last]
+    order = sorted(edge_ids, key=lambda x: (x in prefer_last, x))
     _, _, rejected = _run_game(umg, 2, 3, order)
     if not rejected:
         raise InternalInvariantError("circuit elimination produced an independent set")
@@ -357,19 +345,15 @@ def eliminate_orbit_circuit(sg, circuit, orbit_rep):
         inside = sorted(orbit & cur)
         if len(inside) <= 1:
             break
-        done = False
         t = inside[0]
         gamma_t = group[sg.edges[t].gamma_index]
         for s in inside[1:]:
             delta = gamma_t - group[sg.edges[s].gamma_index]
             translated = sg.translate_edges(delta, cur)
-            if translated == cur:
-                continue
-            ground = (cur | translated) - {t}
-            cur = _circuit_inside(umg, ground, orbit)
-            done = True
-            break
-        if not done:
+            if translated != cur:
+                cur = _circuit_inside(umg, (cur | translated) - {t}, orbit)
+                break
+        else:
             raise InternalInvariantError("circuit is invariant under the action")
     else:
         cur = _basis_route(sg, umg, circuit, orbit)

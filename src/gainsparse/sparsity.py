@@ -202,8 +202,7 @@ def kl_basis(g, params, order=None):
 def is_kl_sparse(g, params):
     """True iff every edge of g fits, i.e. all subgraphs have m' <= kn' - l."""
     k, l = _check_params(params)
-    _, _, rejected = _run_game(g, k, l, stop_on_reject=True)
-    return not rejected
+    return not _dependent(g, k, l, None)
 
 
 def is_kl_spanning(g, params):
@@ -216,36 +215,50 @@ def is_kl_spanning(g, params):
 def fundamental_circuit(g, params, basis, eid):
     """The unique (k,l)-circuit inside basis + e.
 
-    By the matroid exchange property, f belongs to the circuit exactly
-    when basis - f + e is again sparse, so the circuit is recovered by a
-    minimality search over the basis edges (restricted to the blocked
-    region reached by the failed insertion).  Raises NoCircuitError when
-    e is independent of the basis.
+    The failed insertion of e stops in a region whose accepted edges are
+    dependent together with e (Lee and Streinu, Discrete Math. 2008), so
+    the circuit lies among them; every dependent subset of basis + e
+    contains it, so shrinking that set to a minimal dependent one finds
+    it.  Raises NoCircuitError when e is independent of the basis.
     """
     k, l = _check_params(params)
     basis = frozenset(basis)
     if eid in basis:
         raise UsageError("edge %d is in the basis" % eid)
-    base_order = sorted(basis)
-    game, accepted, rejected = _run_game(g, k, l, base_order + [eid])
+    game, accepted, _ = _run_game(g, k, l, sorted(basis) + [eid])
     if not basis <= set(accepted):
         raise UsageError("given basis is not (k,l)-sparse")
     if eid in accepted:
         raise NoCircuitError("edge %d is independent of the basis" % eid)
-    # the circuit lives inside the region the failed search got stuck in
     vidx = {v: i for i, v in enumerate(g.vertices)}
     _, u, v = g._byid[eid]
     region = game.reachable(vidx[u], vidx[v])
-    circuit = [eid]
-    for f in base_order:
-        _, a, b = g._byid[f]
-        if vidx[a] not in region or vidx[b] not in region:
-            continue
-        retry = [x for x in base_order if x != f] + [eid]
-        _, _, rej = _run_game(g, k, l, retry)
-        if not rej:
-            circuit.append(f)
-    return frozenset(circuit)
+    ids = [f for f in sorted(basis) if vidx[g._byid[f][1]] in region
+           and vidx[g._byid[f][2]] in region] + [eid]
+    return frozenset(ids[j] for j in _shrink(g, k, l, [[f] for f in ids]))
+
+
+def _dependent(g, k, l, edge_ids):
+    """Does the pebble game reject some edge of edge_ids (in that order,
+    or all of g's in id order for None)?"""
+    return bool(_run_game(g, k, l, edge_ids, stop_on_reject=True)[2])
+
+
+def _shrink(g, k, l, groups):
+    """Indices of a minimal (k,l)-dependent union of edge groups, for
+    groups that are dependent as a whole.
+
+    One ascending pass drops each group while the rest stays dependent.
+    Dependence is upward closed, so a group kept because the rest was
+    independent stays necessary as the set shrinks, and the pass ends at
+    a set none of whose groups can go.
+    """
+    keep = list(range(len(groups)))
+    for i in range(len(groups)):
+        rest = [j for j in keep if j != i]
+        if _dependent(g, k, l, [e for j in rest for e in groups[j]]):
+            keep = rest
+    return keep
 
 
 # --- colored recognizers -------------------------------------------------

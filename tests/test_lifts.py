@@ -7,18 +7,23 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gainsparse.lifts
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
+    Subgraph,
     PreconditionError,
     SparsityParams,
     UncoloredMultigraph,
     UnsupportedGroupError,
     UsageError,
+    apply_move,
     build_lift,
+    check,
     check_colored_sparsity,
     cone_laman_via_lift,
     eliminate_orbit_circuit,
+    family_bound,
     fundamental_circuit,
     gauge_normalize,
     is_kl_sparse,
@@ -27,8 +32,10 @@ from gainsparse import (
     lift_to_dot,
     lift_to_text,
     path_color_sum,
+    random_construct,
     reduce_colors,
     rho_rank,
+    subgraph_counts,
 )
 
 P23 = SparsityParams(2, 3)
@@ -163,6 +170,65 @@ def test_lift_recognition_matches_brute_force(p, seed):
                       (rng.randrange(p),)))
     g = ColoredGraph(spec, range(n), edges)
     assert cone_laman_via_lift(g) == check_colored_sparsity(g, "cone").tight
+
+
+def _planted(family, steps, seed, group=None, how="copy"):
+    """A random tight graph of the family with one plain edge overwritten,
+    so m = 2n - 1 still holds but the count breaks: by a copy of another
+    edge, or ("rewire") by a new edge between two random vertices with
+    the color of a random edge, redrawn until the lift check fails."""
+    cert = random_construct(family, steps, seed, group=group)
+    g = cert.base
+    for mv in cert.moves:
+        g = apply_move(g, mv)
+    rng = random.Random(seed)
+    edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
+    plain = [i for i, e in enumerate(edges) if e[1] != e[2]]
+    while True:
+        i, j = rng.sample(plain, 2)
+        if how == "copy":
+            new = edges[j][1:]
+        else:
+            new = tuple(rng.sample(g.vertices, 2)) + (edges[j][3],)
+        trial = edges[:i] + [(edges[i][0],) + new] + edges[i + 1:]
+        h = ColoredGraph(g.spec, g.vertices, trial)
+        if not check(h, family, method="lift").sparse:
+            return h
+
+
+@pytest.mark.parametrize("family, p", [("cone", 5), ("cylinder", None)])
+def test_lift_verdict_builds_one_lift(monkeypatch, family, p):
+    g = _planted(family, 9, 3, GroupSpec.cyclic(p) if p else None)
+    built = []
+    real = gainsparse.lifts.build_lift
+
+    def counting(h):
+        built.append(h)
+        return real(h)
+
+    monkeypatch.setattr(gainsparse.lifts, "build_lift", counting)
+    assert not check(g, family, method="lift").sparse
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("how", ["copy", "rewire"])
+@pytest.mark.parametrize("family, p, n, seed", [
+    ("cone", 3, 80, 0), ("cone", 3, 55, 1), ("cone", 5, 60, 2),
+    ("cone", 5, 45, 3), ("cone", 7, 40, 4), ("cone", 7, 70, 5),
+    ("cylinder", None, 30, 6), ("cylinder", None, 34, 7)])
+def test_lift_witness_is_minimal_above_brute_budget(family, p, n, seed, how):
+    g = _planted(family, n - 1, seed, GroupSpec.cyclic(p) if p else None, how)
+    assert g.m == 2 * g.n - 1 > 24
+
+    def violates(ids):
+        counts = subgraph_counts(Subgraph(g, ids))
+        return counts.m_prime > family_bound(family, counts)
+
+    v = check(g, family, method="lift")
+    assert not v.sparse and v.witness
+    assert violates(v.witness)
+    for e in v.witness:
+        assert not violates(v.witness - {e}), "edge %d is not needed" % e
 
 
 def test_reduce_colors_fixed_cases():

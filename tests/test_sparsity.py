@@ -111,6 +111,28 @@ def test_fundamental_circuit_spanning_two_triangles():
     assert circuit == matching[0]
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=1, max_value=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=9),
+       st.sampled_from([P23, P22, SparsityParams(1, 1), SparsityParams(3, 3)]),
+       st.randoms(use_true_random=False))
+def test_fundamental_circuit_matches_exchange_definition(n, pairs, params, rng):
+    # circuit of e = {e} + {f in B : B - f + e is sparse}, with sparsity
+    # settled by the literal subset scan
+    pairs = [(u % n, v % n) for u, v in pairs]
+    g = _mg(n, pairs)
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    basis = kl_basis(g, params, order)
+
+    def sparse(ids):
+        return kl_sparse_edge_subsets([pairs[i] for i in ids], params.k, params.l)
+
+    for eid in sorted(set(order) - basis):
+        expected = {eid} | {f for f in basis if sparse((basis - {f}) | {eid})}
+        assert fundamental_circuit(g, params, basis, eid) == expected
+
+
 def test_fundamental_circuit_requires_dependence():
     basis = kl_basis(TRIANGLE, P23) - {2}
     with pytest.raises(NoCircuitError):
