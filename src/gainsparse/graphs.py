@@ -22,6 +22,25 @@ Edge = namedtuple("Edge", ["id", "tail", "head", "color"])
 SubgraphCounts = namedtuple("SubgraphCounts", ["n_prime", "m_prime", "r", "c0", "c1", "c2"])
 
 
+def _index_graph(vertices, edges):
+    """The vertex set and the edge-id map of a graph whose edges start
+    with (id, u, v), as Edge and the plain triples of UncoloredMultigraph
+    both do.  Raises UsageError on a duplicate vertex id, a duplicate
+    edge id or an undeclared endpoint."""
+    vset = frozenset(vertices)
+    if len(vset) != len(vertices):
+        raise UsageError("duplicate vertex ids")
+    byid = {}
+    for e in edges:
+        eid, u, v = e[0], e[1], e[2]
+        if eid in byid:
+            raise UsageError("duplicate edge ids")
+        if u not in vset or v not in vset:
+            raise UsageError("edge %d endpoints (%d, %d) not all declared" % (eid, u, v))
+        byid[eid] = e
+    return vset, byid
+
+
 class ColoredGraph:
     """Vertices, edges, and one color per edge.
 
@@ -37,9 +56,6 @@ class ColoredGraph:
     def __init__(self, spec, vertices, edges):
         self.spec = spec
         self.vertices = tuple(int(v) for v in vertices)
-        self._vset = frozenset(self.vertices)
-        if len(self._vset) != len(self.vertices):
-            raise UsageError("duplicate vertex ids")
         out = []
         for i, e in enumerate(edges):
             if len(e) == 3:
@@ -52,13 +68,9 @@ class ColoredGraph:
                 c = spec.elem(c) if spec.ncoords == 1 and isinstance(c, int) else spec.elem(*c)
             if c.spec != spec:
                 raise UsageError("edge color belongs to %s, graph is over %s" % (c.spec, spec))
-            if u not in self._vset or v not in self._vset:
-                raise UsageError("edge %d endpoints (%d, %d) not all declared" % (eid, u, v))
             out.append(Edge(int(eid), int(u), int(v), c))
         self.edges = tuple(out)
-        self._byid = {e.id: e for e in self.edges}
-        if len(self._byid) != len(self.edges):
-            raise UsageError("duplicate edge ids")
+        self._vset, self._byid = _index_graph(self.vertices, self.edges)
 
     @property
     def n(self):
@@ -396,6 +408,8 @@ def parse_colored_graph(text):
             if not vertices:
                 raise ParseError(lineno, "vertexids needs at least one id")
             known = set(vertices)
+            if len(known) != len(vertices):
+                raise ParseError(lineno, "duplicate vertex id")
         elif kw == "edge":
             if spec is None or vertices is None:
                 raise ParseError(lineno, "edge before group/vertices")

@@ -164,22 +164,18 @@ def apply_move(g, m):
     return out
 
 
-def _lift_failure(g, family, spanning_first=False):
+def _lift_failure(g, family):
     """The lift route for a cone graph over Z/p (p an odd prime) or a
     cylinder graph over Z with m = 2n - 1.  Returns (failed, rejection):
     failed is None when g is tight, "lift" when the lift of g (for
     cylinder, of its reduction mod a safe prime) is not Laman-sparse, or
-    "spanning" when the underlying graph is not (2,2)-spanning.  That
-    cheaper test runs first with spanning_first, else after the lift.
-    rejection is lift_rejection's stuck run for "lift", else None."""
-    if (family == CYLINDER and spanning_first
-            and not is_kl_spanning(underlying(g), (2, 2))):
-        return "spanning", None
+    "spanning" when, the lift having passed, the underlying graph is not
+    (2,2)-spanning.  rejection is lift_rejection's stuck run for "lift",
+    else None."""
     rejection = lift_rejection(g if family == CONE else reduce_colors(g)[0])
     if rejection is not None:
         return "lift", rejection
-    if (family == CYLINDER and not spanning_first
-            and not is_kl_spanning(underlying(g), (2, 2))):
+    if family == CYLINDER and not is_kl_spanning(underlying(g), (2, 2)):
         return "spanning", None
     return None, None
 
@@ -227,13 +223,12 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
 def tight_in_family(g, family):
     """Decide tightness by the fastest route that is actually a theorem:
     the lift route shared with check (_lift_failure) for odd-prime cone
-    graphs and for cylinder graphs, which run its cheap (2,2)-spanning
-    test first, and the brute-force count otherwise (Ross stays brute
-    force on purpose; the budget keeps it at desk scale)."""
+    graphs and for cylinder graphs, and the brute-force count otherwise
+    (Ross stays brute force on purpose; the budget keeps it at desk
+    scale)."""
     if ((family == CONE and odd_prime_cyclic(g.spec))
             or (family == CYLINDER and g.spec.variant == G.FREE1)):
-        return (g.m == 2 * g.n - 1
-                and _lift_failure(g, family, spanning_first=True)[0] is None)
+        return g.m == 2 * g.n - 1 and _lift_failure(g, family)[0] is None
     return check_colored_sparsity(g, family).tight
 
 
@@ -632,10 +627,10 @@ def parse_certificate(text):
                                  "in base graph: %s" % pe.args[0]) from None
             base_lines = None
             continue
-        if line.startswith("family"):
+        parts = line.split()
+        if parts[0] == "family":
             if family is not None:
                 raise ParseError(lineno, "second family line")
-            parts = line.split()
             if len(parts) != 2:
                 raise ParseError(lineno, "expected: family <name>")
             family = parts[1]

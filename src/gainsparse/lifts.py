@@ -13,19 +13,20 @@ connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
 Z colors are first reduced modulo a safe prime that no cycle sum can
 reach.  When the lift check fails, lift_witness shrinks the region its
-stuck pebble game reached, and disjoint_circuit_witness the cylinder
-spanning failure, to a minimal violating edge set of the base graph.
+stuck pebble game reached to a minimal violating edge set of the base
+graph; when cylinder spanning fails, disjoint_circuit_witness reports two
+disjoint (2,2)-circuits, each read off its stuck game, whose union is one.
 """
 
 from collections import namedtuple
 
 from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
-                     InternalInvariantError)
+                     NoCircuitError, InternalInvariantError)
 from . import groups as G
 from .graphs import ColoredGraph, components
 from .sparsity import (CONE, CYLINDER, UncoloredMultigraph, underlying,
-                       fundamental_circuit, _run_game, _dependent, _shrink,
-                       _subset_violates, _minimize_witness)
+                       fundamental_circuit, _run_game, _shrink,
+                       _subset_violates)
 # Unused here: perfbench/spans.py patches both by name and fails without.
 from .sparsity import kl_basis, is_kl_sparse  # noqa: F401
 
@@ -247,6 +248,12 @@ def lift_witness(rejection):
     which must itself break the count (were only a proper subset at
     fault, that subset's lift would already be dependent).  The result
     is double-checked against the count before being reported.
+
+    Unlike fundamental_circuit, this shrink has no proof that it is a
+    no-op: the region is one lift circuit, but the base edges under it
+    bring their whole fibers, and a lift circuit through the first edge
+    of a fiber can leave a second circuit, over fewer base edges, that
+    uses two edges of that fiber.
     """
     sg, mg, game, f = rejection
     edges = sg.edges
@@ -265,9 +272,17 @@ def lift_witness(rejection):
 def disjoint_circuit_witness(g):
     """Cylinder witness when the colored counts pass mod p but the
     underlying graph is not (2,2)-spanning: two vertex-disjoint
-    (2,2)-circuits whose union breaks the cylinder count.  Disjointness
-    is forced, since inside a graph all of whose subsets meet the cone
-    count a connected region carries at most one circuit."""
+    (2,2)-circuits whose union breaks the cylinder count.
+
+    Each circuit C_i is connected with 2n_i - 1 edges, so the cone count
+    the lift just passed makes it unbalanced.  Disjointness is forced,
+    since inside a graph all of whose subsets meet the cone count a
+    connected region carries at most one circuit.  The union has r = 1
+    and two unbalanced parts, so it breaks the cylinder bound by one.
+    Dropping any edge of either circuit leaves parts that meet 2n' - 2
+    (unbalanced parts, being (2,2)-sparse) or 2n' - 3 (balanced parts,
+    by the cone count), which puts the union back within the bound: the
+    union is a minimal witness as it stands."""
     umg = underlying(g)
     _, accepted, rejected = _run_game(umg, 2, 2)
     if len(rejected) < 2:
@@ -281,7 +296,7 @@ def disjoint_circuit_witness(g):
 
     if span(c1) & span(c2):
         raise InternalInvariantError("expected vertex-disjoint circuits")
-    witness = _minimize_witness(g, CYLINDER, frozenset(c1 | c2))
+    witness = c1 | c2
     if not _subset_violates(g, CYLINDER, witness):
         raise InternalInvariantError("disjoint circuits do not break the count")
     return witness
@@ -291,44 +306,36 @@ def disjoint_circuit_witness(g):
 
 
 def _is_circuit(umg, edge_ids):
-    """A (2,3)-circuit: dependent as a whole, every proper subset sparse."""
+    """A (2,3)-circuit: independent without its last edge, whose
+    fundamental circuit against the rest is the whole set."""
     ids = sorted(edge_ids)
-    return (_dependent(umg, 2, 3, ids)
-            and not any(_dependent(umg, 2, 3, [x for x in ids if x != drop])
-                        for drop in ids))
-
-
-def _circuit_inside(umg, edge_ids, prefer_last):
-    """Some (2,3)-circuit within a dependent edge set.  Edges in
-    prefer_last are offered to the pebble game after all the others, which
-    steers the circuit away from them where possible."""
-    order = sorted(edge_ids, key=lambda x: (x in prefer_last, x))
-    _, _, rejected = _run_game(umg, 2, 3, order)
-    if not rejected:
-        raise InternalInvariantError("circuit elimination produced an independent set")
-    f = rejected[0]
-    # everything offered before the first rejection was accepted
-    basis = order[:order.index(f)]
-    return fundamental_circuit(umg, (2, 3), basis, f)
+    if not ids:
+        return False
+    try:
+        return fundamental_circuit(umg, (2, 3), ids[:-1], ids[-1]) == set(ids)
+    except (UsageError, NoCircuitError):
+        return False
 
 
 def eliminate_orbit_circuit(sg, circuit, orbit_rep):
     """Given a (2,3)-circuit of the lift meeting the orbit (fiber) of
     orbit_rep, return a (2,3)-circuit containing at most one orbit edge.
 
-    Follows the iterated elimination: while two orbit edges remain, the
-    translate of the circuit moving one shared orbit edge onto another is
-    a different circuit (a translate equal to the circuit itself would be
-    the lift of a base subgraph, forcing p to divide 2), and eliminating
-    that edge between the two yields a new circuit inside their union.
-    If the iteration stalls, a direct search over the union of all
-    translates settles the question: against a basis built greedily from
-    the non-orbit edges, some rejected edge carries a fundamental circuit
-    with at most one orbit edge whenever any such circuit exists in the
-    union at all.  No such circuit need exist: removing the whole fiber
-    can cost two ranks at once, leaving each single fiber edge
-    independent of everything else, and then every circuit in the union
-    meets the orbit twice.  That case raises PreconditionError.
+    A circuit that already meets the orbit once comes back unchanged.
+    Otherwise the search runs over the closure X, the union of the
+    circuit's translates.  X is closed under the action, so eliminating
+    orbit edges between translates, step after step, only ever reaches
+    circuits inside X.  The basis is built greedily from X, orbit edges
+    offered last.  If a circuit of X avoids the orbit, some non-orbit
+    edge is rejected, and its fundamental circuit avoids the orbit too.
+    Otherwise every non-orbit edge is in the basis, so a circuit of X
+    through a single orbit edge o gets o rejected, with a fundamental
+    circuit meeting the orbit only at o.  Scanning the rejected edges
+    thus finds a qualifying circuit whenever X holds one.  None need
+    exist: removing the whole fiber can cost two ranks at once, leaving
+    each single fiber edge independent of everything else, and then
+    every circuit in X meets the orbit twice.  That case raises
+    PreconditionError.
     """
     umg = sg.multigraph()
     circuit = frozenset(circuit)
@@ -337,46 +344,19 @@ def eliminate_orbit_circuit(sg, circuit, orbit_rep):
     orbit = sg.orbit_of_edge(orbit_rep)
     if not orbit & circuit:
         raise UsageError("orbit of edge %d does not meet the circuit" % orbit_rep)
-
-    group = sg.group
-    cur = circuit
-    cap = 4 * len(group) + 8
-    for _ in range(cap):
-        inside = sorted(orbit & cur)
-        if len(inside) <= 1:
-            break
-        t = inside[0]
-        gamma_t = group[sg.edges[t].gamma_index]
-        for s in inside[1:]:
-            delta = gamma_t - group[sg.edges[s].gamma_index]
-            translated = sg.translate_edges(delta, cur)
-            if translated != cur:
-                cur = _circuit_inside(umg, (cur | translated) - {t}, orbit)
-                break
-        else:
-            raise InternalInvariantError("circuit is invariant under the action")
-    else:
-        cur = _basis_route(sg, umg, circuit, orbit)
-
-    if len(orbit & cur) > 1 or not _is_circuit(umg, cur):
-        raise InternalInvariantError("orbit elimination failed to produce a circuit")
-    return frozenset(cur)
-
-
-def _basis_route(sg, umg, circuit, orbit):
+    if len(orbit & circuit) == 1:
+        return circuit
     closure = set()
     for gamma in sg.group:
         closure |= sg.translate_edges(gamma, circuit)
     order = sorted(closure - orbit) + sorted(closure & orbit)
-    game, accepted, rejected = _run_game(umg, 2, 3, order)
-    # Complete within the closure: a circuit avoiding the orbit sits over
-    # a rejected non-orbit edge, and a circuit through a single orbit edge
-    # o sits over o itself, whose unique circuit against the basis stays
-    # inside the non-orbit part that spans o.  So scanning the rejects
-    # finds a qualifying circuit whenever the closure holds one.
+    _, accepted, rejected = _run_game(umg, 2, 3, order)
     for f in rejected:
         cand = fundamental_circuit(umg, (2, 3), accepted, f)
         if len(cand & orbit) <= 1:
+            if not _is_circuit(umg, cand):
+                raise InternalInvariantError(
+                    "orbit elimination failed to produce a circuit")
             return cand
     raise PreconditionError(
         "every circuit in the translate closure meets the orbit twice; "

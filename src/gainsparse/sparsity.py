@@ -25,7 +25,8 @@ from collections import namedtuple
 from .errors import (UsageError, UnsupportedGroupError, NoCircuitError,
                      BudgetExceededError, InternalInvariantError)
 from . import groups as G
-from .graphs import Subgraph, subgraph_counts, graph_counts, rho_image_basis
+from .graphs import (Subgraph, subgraph_counts, graph_counts, rho_image_basis,
+                     _index_graph)
 
 ROSS = "ross"
 CONE = "cone"
@@ -61,13 +62,7 @@ class UncoloredMultigraph:
             else:
                 out.append((int(e[0]), int(e[1]), int(e[2])))
         self.edges = tuple(out)
-        self._byid = {e[0]: e for e in self.edges}
-        if len(self._byid) != len(self.edges):
-            raise UsageError("duplicate edge ids")
-        vs = set(self.vertices)
-        for eid, u, v in self.edges:
-            if u not in vs or v not in vs:
-                raise UsageError("edge %d endpoint not declared" % eid)
+        self._byid = _index_graph(self.vertices, self.edges)[1]
 
     @property
     def n(self):
@@ -213,13 +208,24 @@ def is_kl_spanning(g, params):
 
 
 def fundamental_circuit(g, params, basis, eid):
-    """The unique (k,l)-circuit inside basis + e.
+    """The unique (k,l)-circuit inside basis + e, read off one pebble game.
 
-    The failed insertion of e stops in a region whose accepted edges are
-    dependent together with e (Lee and Streinu, Discrete Math. 2008), so
-    the circuit lies among them; every dependent subset of basis + e
-    contains it, so shrinking that set to a minimal dependent one finds
-    it.  Raises NoCircuitError when e is independent of the basis.
+    The game offers the basis, then e.  When e fails, its ends u and v
+    hold at most l pebbles and no other vertex reachable from them holds
+    one.  Every vertex holds k pebbles and out-arcs together and no arc
+    leaves the reachable set R, so R spans k|R| - (pebbles on u, v) >=
+    k|R| - l basis edges and B[R] + e is dependent.  Sparsity makes that
+    exactly k|R| - l when B[R] is nonempty (else e is a loop and R its
+    one vertex), so u and v hold l pebbles.  The circuit's vertex set T
+    spans k|T| - l basis edges, so its arcs cost every pebble in T but
+    those l: no arc leaves T, and T contains R.  B[R] therefore lies in
+    the circuit, which is B[R] + e (Lee and Streinu, Discrete Math.
+    2008).  Raises NoCircuitError when e is independent of the basis.
+
+    >>> k4 = UncoloredMultigraph(range(4), [(0, 1), (0, 2), (0, 3),
+    ...                                     (1, 2), (1, 3), (2, 3)])
+    >>> sorted(fundamental_circuit(k4, (2, 3), range(5), 5))
+    [0, 1, 2, 3, 4, 5]
     """
     k, l = _check_params(params)
     basis = frozenset(basis)
@@ -233,9 +239,13 @@ def fundamental_circuit(g, params, basis, eid):
     vidx = {v: i for i, v in enumerate(g.vertices)}
     _, u, v = g._byid[eid]
     region = game.reachable(vidx[u], vidx[v])
-    ids = [f for f in sorted(basis) if vidx[g._byid[f][1]] in region
-           and vidx[g._byid[f][2]] in region] + [eid]
-    return frozenset(ids[j] for j in _shrink(g, k, l, [[f] for f in ids]))
+    inside = [f for f in basis if vidx[g._byid[f][1]] in region
+              and vidx[g._byid[f][2]] in region]
+    if inside and len(inside) != k * len(region) - l:
+        raise InternalInvariantError(
+            "stuck region spans %d basis edges on %d vertices"
+            % (len(inside), len(region)))
+    return frozenset(inside + [eid])
 
 
 def _dependent(g, k, l, edge_ids):

@@ -80,6 +80,14 @@ def test_parse_error_is_line_numbered(tmp_path):
     assert "line 3" in err
 
 
+def test_duplicate_vertex_id_is_a_parse_error(tmp_path):
+    f = tmp_path / "twice.txt"
+    f.write_text("group Z/5\nvertexids 1 1\n")
+    code, _, err = run_cli(["check", f, "--family", "cone"])
+    assert code == 2
+    assert "line 2" in err
+
+
 def test_family_group_mismatch(tmp_path):
     f = write_graph(tmp_path / "plane.txt",
                     ColoredGraph(GroupSpec.parse("Z^2"), [0, 1],

@@ -245,6 +245,9 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as ei:
         parse_colored_graph("group Z^2\nvertices 1\nedge 0 0 1\n")
     assert ei.value.lineno == 3
+    with pytest.raises(ParseError) as ei:
+        parse_colored_graph("group Z/3\nvertexids 1 1\n")
+    assert ei.value.lineno == 2
 
 
 def test_parse_is_linear_in_the_edge_count():

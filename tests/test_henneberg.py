@@ -330,6 +330,11 @@ def test_certificate_text_fixed_form():
 def test_certificate_parse_errors():
     with pytest.raises(ParseError):
         parse_certificate("family nope\nbegin base\nend base\n")
+    # the keyword is matched whole, not as a prefix
+    with pytest.raises(ParseError) as ei:
+        parse_certificate("family_x cone\nbegin base\ngroup Z/5\nvertices 1\n"
+                          "edge 0 0 1\nend base\n")
+    assert ei.value.lineno == 1
     with pytest.raises(ParseError) as ei:
         parse_certificate("family cone\nbegin base\ngroup Z/5\nvertices 1\n"
                           "edge 0 0 1\nend base\nwobble n=1\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gainsparse.lifts
+import gainsparse.sparsity
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
@@ -172,15 +173,20 @@ def test_lift_recognition_matches_brute_force(p, seed):
     assert cone_laman_via_lift(g) == check_colored_sparsity(g, "cone").tight
 
 
+def _built(family, steps, seed, group=None):
+    cert = random_construct(family, steps, seed, group=group)
+    g = cert.base
+    for mv in cert.moves:
+        g = apply_move(g, mv)
+    return g
+
+
 def _planted(family, steps, seed, group=None, how="copy"):
     """A random tight graph of the family with one plain edge overwritten,
     so m = 2n - 1 still holds but the count breaks: by a copy of another
     edge, or ("rewire") by a new edge between two random vertices with
     the color of a random edge, redrawn until the lift check fails."""
-    cert = random_construct(family, steps, seed, group=group)
-    g = cert.base
-    for mv in cert.moves:
-        g = apply_move(g, mv)
+    g = _built(family, steps, seed, group)
     rng = random.Random(seed)
     edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
     plain = [i for i, e in enumerate(edges) if e[1] != e[2]]
@@ -211,13 +217,37 @@ def test_lift_verdict_builds_one_lift(monkeypatch, family, p):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("how", ["copy", "rewire"])
-@pytest.mark.parametrize("family, p, n, seed", [
-    ("cone", 3, 80, 0), ("cone", 3, 55, 1), ("cone", 5, 60, 2),
-    ("cone", 5, 45, 3), ("cone", 7, 40, 4), ("cone", 7, 70, 5),
-    ("cylinder", None, 30, 6), ("cylinder", None, 34, 7)])
+def _glued(n, seed):
+    """Two tight cylinder graphs on n/2 vertices each, joined by one
+    bridge edge: m = 2n - 1 and the lift passes, but the underlying graph
+    is not (2,2)-spanning, so the witness is two disjoint circuits."""
+    a = _built("cylinder", n // 2 - 1, seed)
+    b = _built("cylinder", n // 2 - 1, seed + 1)
+    dv, de = max(a.vertices) + 1, max(a.edge_ids()) + 1
+    edges = [(e.id, e.tail, e.head, e.color) for e in a.edges]
+    edges += [(e.id + de, e.tail + dv, e.head + dv, e.color) for e in b.edges]
+    edges.append((max(e[0] for e in edges) + 1, a.vertices[0],
+                  b.vertices[0] + dv, (0,)))
+    return ColoredGraph(Z, list(a.vertices) + [v + dv for v in b.vertices],
+                        edges)
+
+
+_CONE_ROWS = [("cone", 3, 80, 0), ("cone", 3, 55, 1), ("cone", 5, 60, 2),
+              ("cone", 5, 45, 3), ("cone", 7, 40, 4), ("cone", 7, 70, 5)]
+_CYLINDER_ROWS = [("cylinder", None, 30, 6), ("cylinder", None, 34, 7)]
+
+
+@pytest.mark.parametrize(
+    "family, p, n, seed, how",
+    [row + (how,) for row in _CONE_ROWS + _CYLINDER_ROWS
+     for how in ("copy", "rewire")]
+    + [row + ("glue",) for row in _CYLINDER_ROWS])
 def test_lift_witness_is_minimal_above_brute_budget(family, p, n, seed, how):
-    g = _planted(family, n - 1, seed, GroupSpec.cyclic(p) if p else None, how)
+    if how == "glue":
+        g = _glued(n, seed)
+    else:
+        g = _planted(family, n - 1, seed,
+                     GroupSpec.cyclic(p) if p else None, how)
     assert g.m == 2 * g.n - 1 > 24
 
     def violates(ids):
@@ -316,6 +346,22 @@ def test_eliminate_keeps_disjoint_circuit_unchanged():
     rejected = [e for e in circuit if len(circuit & sg.orbit_of_edge(e)) == 1]
     assert rejected
     assert eliminate_orbit_circuit(sg, circuit, rejected[0]) == circuit
+
+
+def test_eliminate_plays_one_game_on_a_thin_circuit(monkeypatch):
+    sg, circuit = _overlap_instance()
+    thin = [e for e in circuit if len(circuit & sg.orbit_of_edge(e)) == 1]
+    games = []
+    real = gainsparse.sparsity._run_game
+
+    def counting(*args, **kwargs):
+        games.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gainsparse.sparsity, "_run_game", counting)
+    monkeypatch.setattr(gainsparse.lifts, "_run_game", counting)
+    assert eliminate_orbit_circuit(sg, circuit, thin[0]) == circuit
+    assert len(games) == 1
 
 
 def test_eliminate_reduces_overlapping_orbit():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gainsparse.sparsity
 from gainsparse import (
     BudgetExceededError,
     ColoredGraph,
@@ -44,6 +45,18 @@ TRIANGLE = _mg(3, [(0, 1), (1, 2), (2, 0)])
 DOUBLED = _mg(2, [(0, 1), (0, 1)])
 
 
+def test_multigraph_validation_matches_colored_graph():
+    # duplicate vertex ids, duplicate edge ids, undeclared endpoints
+    for vertices, edges in (([0, 0], []),
+                            ([0, 1], [(0, 0, 1), (0, 1, 0)]),
+                            ([0], [(0, 0, 1)])):
+        with pytest.raises(UsageError):
+            UncoloredMultigraph(vertices, edges)
+        with pytest.raises(UsageError):
+            ColoredGraph(Z3, vertices, [e + ((1,),) for e in edges])
+    assert is_kl_spanning(UncoloredMultigraph([0], []), SparsityParams(1, 1))
+
+
 def test_basis_fixed_cases():
     assert len(kl_basis(K4, P23)) == 5
     assert kl_basis(TRIANGLE, P23) == frozenset((0, 1, 2))
@@ -70,6 +83,20 @@ def test_fundamental_circuit_of_k4_plus_edge():
     circuit = fundamental_circuit(g, P23, basis, rejected[0])
     # the six edges of the complete graph form the unique circuit
     assert circuit == frozenset(range(6))
+
+
+def test_fundamental_circuit_plays_one_game(monkeypatch):
+    games = []
+    real = gainsparse.sparsity._run_game
+
+    def counting(*args, **kwargs):
+        games.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gainsparse.sparsity, "_run_game", counting)
+    g = _mg(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])
+    assert fundamental_circuit(g, P23, range(5), 5) == frozenset(range(6))
+    assert len(games) == 1
 
 
 def test_fundamental_circuit_of_parallel_pair():
