@@ -23,22 +23,22 @@ SubgraphCounts = namedtuple("SubgraphCounts", ["n_prime", "m_prime", "r", "c0", 
 
 
 def _index_graph(vertices, edges):
-    """The vertex set and the edge-id map of a graph whose edges start
-    with (id, u, v), as Edge and the plain triples of UncoloredMultigraph
-    both do.  Raises UsageError on a duplicate vertex id, a duplicate
-    edge id or an undeclared endpoint."""
-    vset = frozenset(vertices)
-    if len(vset) != len(vertices):
+    """The vertex -> position map and the edge-id map of a graph whose
+    edges start with (id, u, v), as Edge and the plain triples of
+    UncoloredMultigraph both do.  Raises UsageError on a duplicate vertex
+    id, a duplicate edge id or an undeclared endpoint."""
+    pos = {v: i for i, v in enumerate(vertices)}
+    if len(pos) != len(vertices):
         raise UsageError("duplicate vertex ids")
     byid = {}
     for e in edges:
         eid, u, v = e[0], e[1], e[2]
         if eid in byid:
             raise UsageError("duplicate edge ids")
-        if u not in vset or v not in vset:
+        if u not in pos or v not in pos:
             raise UsageError("edge %d endpoints (%d, %d) not all declared" % (eid, u, v))
         byid[eid] = e
-    return vset, byid
+    return pos, byid
 
 
 class ColoredGraph:
@@ -51,7 +51,7 @@ class ColoredGraph:
     pair for the rank-2 groups), which get wrapped.
     """
 
-    __slots__ = ("spec", "vertices", "edges", "_byid", "_vset")
+    __slots__ = ("spec", "vertices", "edges", "_byid", "_pos")
 
     def __init__(self, spec, vertices, edges):
         self.spec = spec
@@ -70,7 +70,7 @@ class ColoredGraph:
                 raise UsageError("edge color belongs to %s, graph is over %s" % (c.spec, spec))
             out.append(Edge(int(eid), int(u), int(v), c))
         self.edges = tuple(out)
-        self._vset, self._byid = _index_graph(self.vertices, self.edges)
+        self._pos, self._byid = _index_graph(self.vertices, self.edges)
 
     @property
     def n(self):
@@ -87,7 +87,7 @@ class ColoredGraph:
             raise UsageError("no edge with id %r" % (eid,)) from None
 
     def has_vertex(self, v):
-        return v in self._vset
+        return v in self._pos
 
     def edge_ids(self):
         return frozenset(self._byid)
@@ -110,7 +110,7 @@ class ColoredGraph:
     # copy-style editing; the class itself stays immutable
 
     def with_vertex(self, v):
-        if v in self._vset:
+        if v in self._pos:
             raise UsageError("vertex %d already present" % v)
         return ColoredGraph(self.spec, self.vertices + (v,), self.edges)
 
@@ -307,7 +307,7 @@ def graph_counts(g):
     ("equality on the whole graph") is checked against."""
     sub = g.full()
     base = subgraph_counts(sub)
-    lonely = len(g._vset - sub.vertex_set)
+    lonely = g.n - sub.n
     return SubgraphCounts(g.n, g.m, base.r, base.c0 + lonely, base.c1, base.c2)
 
 

@@ -255,12 +255,18 @@ def rank_of_span(elems):
         return 0 if all(e.is_zero() for e in elems) else 1
     if spec.variant == CYCLIC_PQ:
         return int(any(e.coords[0] for e in elems)) + int(any(e.coords[1] for e in elems))
-    # Z^2: lattice rank equals rank over Q; it is 2 exactly when some pair
-    # of generators has a nonzero 2x2 determinant, so keep the first nonzero
-    # vector as pivot and test cross products, all in exact integers.
+    return _lattice_rank(e.coords for e in elems)
+
+
+def _lattice_rank(pairs):
+    """Rank (0, 1 or 2) of the integer lattice that coordinate pairs span.
+
+    It equals the rank over Q, which is 2 exactly when some pair of
+    generators has a nonzero 2x2 determinant, so keep the first nonzero
+    vector as pivot and test cross products, all in exact integers.
+    """
     pivot = None
-    for e in elems:
-        x, y = e.coords
+    for x, y in pairs:
         if x == 0 and y == 0:
             continue
         if pivot is None:

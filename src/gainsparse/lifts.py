@@ -5,6 +5,8 @@ vertex (i, gamma) over each base vertex i and group element gamma, and an
 undirected edge {(i, gamma), (j, color_ij + gamma)} over each oriented
 base edge ij, one per gamma.  The group acts freely by translating the
 second coordinate, and the quotient gives back the base graph.
+SymmetricGraph lays the cover out so that fibers, the action and the
+quotient are arithmetic on ids; its docstring states the layout.
 
 Everything the package knows about recognizing colored sparsity in
 polynomial time routes through here: the lift of a Z/p-colored graph with
@@ -34,53 +36,77 @@ LiftEdge = namedtuple("LiftEdge", ["id", "x", "y", "base_eid", "gamma_index"])
 
 
 class SymmetricGraph:
-    """A lift together with its free group action.
+    """The symmetric cover of a colored base graph over Z/p or Z/p x Z/q,
+    with its free group action.
 
-    Vertices are pairs (base vertex id, group element index), where group
-    elements are enumerated canonically (0..k-1 for Z/k, lexicographic
-    pairs for Z/p x Z/q).  Lift edges are ordered by (base edge id, group
-    index), which fixes ids for reproducible pebble runs.
+    Ids are index arithmetic.  Let N = |Gamma| and number the group
+    elements in spec.elements() order: x for x in Z/p, a*q + b for (a, b)
+    in Z/p x Z/q.  Vertex (i, gamma) has id a*N + idx(gamma), where i is
+    the a-th base vertex; `vertices` lists the pairs (i, idx(gamma)) in
+    id order.  The edge over (e, gamma), where e is the j-th base edge by
+    id, has id j*N + idx(gamma) and joins (tail, gamma) to
+    (head, color + gamma).  So every fiber, of a vertex or an edge, is a
+    run of N consecutive ids, the action shifts the offset inside the
+    run, and the quotient divides by N.  The fixed edge order makes
+    pebble runs on the lift reproducible.
     """
 
-    __slots__ = ("base", "group", "_gidx", "vertices", "_vidx", "edges", "_fiber")
+    __slots__ = ("base", "group", "edges")
 
-    def __init__(self, base, group, gidx, vertices, vidx, edges, fiber):
+    def __init__(self, base):
+        _require_liftable(base.spec)
         self.base = base
-        self.group = group                       # list of GroupElem
-        self._gidx = gidx                        # coords -> group index
-        self.vertices = vertices                 # list of (i, gamma index)
-        self._vidx = vidx                        # vertex -> its index
+        self.group = base.spec.elements()        # list of GroupElem
+        N = len(self.group)
+        pos = base._pos
+        # one int object per lift vertex, shared by all the edge ends at it
+        ids = list(range(N * len(base.vertices)))
+        edges = []
+        for e in sorted(base.edges):
+            x, y, c = pos[e.tail] * N, pos[e.head] * N, e.color.coords
+            for gi in range(N):
+                edges.append(LiftEdge(len(edges), ids[x + gi],
+                                      ids[y + _shift(base.spec, gi, c)],
+                                      e.id, gi))
         self.edges = edges                       # list of LiftEdge
-        self._fiber = fiber                      # base edge id -> lift ids
+
+    @property
+    def vertices(self):
+        return [(i, gi) for i in self.base.vertices
+                for gi in range(len(self.group))]
 
     @property
     def n(self):
-        return len(self.vertices)
+        return len(self.base.vertices) * len(self.group)
 
     @property
     def m(self):
         return len(self.edges)
 
     def vertex_name(self, vi):
-        i, gi = self.vertices[vi]
-        return "%d_%s" % (i, self.group[gi])
+        a, gi = divmod(vi, len(self.group))
+        return "%d_%s" % (self.base.vertices[a], self.group[gi])
 
     def orbit_of_edge(self, eid):
         """All lift edge ids over the same base edge (the edge's fiber)."""
-        return frozenset(self._fiber[self.edges[eid].base_eid])
+        first = eid - eid % len(self.group)
+        return frozenset(range(first, first + len(self.group)))
+
+    def _act(self, gamma, x):
+        if gamma.spec != self.base.spec:
+            raise UsageError("cannot act by an element of %s on a lift over %s"
+                             % (gamma.spec, self.base.spec))
+        gi = x % len(self.group)
+        return x - gi + _shift(gamma.spec, gi, gamma.coords)
 
     def act_on_vertex(self, gamma, vi):
-        """Index of gamma . (i, delta) = (i, delta + gamma)."""
-        i, gi = self.vertices[vi]
-        shifted = self.group[gi] + gamma
-        return self._vidx[(i, self._gidx[shifted.coords])]
+        """Id of gamma . (i, delta) = (i, delta + gamma)."""
+        return self._act(gamma, vi)
 
     def act_on_edge(self, gamma, eid):
-        e = self.edges[eid]
-        shifted = self.group[e.gamma_index] + gamma
-        gi = self._gidx[shifted.coords]
-        # fiber edges are ordered by gamma index within each base fiber
-        return self._fiber[e.base_eid][gi]
+        """Id of the edge over the same base edge at gamma_index + gamma,
+        whose endpoints are eid's endpoints acted on by gamma."""
+        return self._act(gamma, eid)
 
     def translate_edges(self, gamma, edge_ids):
         return frozenset(self.act_on_edge(gamma, e) for e in edge_ids)
@@ -92,6 +118,16 @@ class SymmetricGraph:
 
     def __repr__(self):
         return "SymmetricGraph(over %s, n=%d, m=%d)" % (self.base.spec, self.n, self.m)
+
+
+def _shift(spec, gi, coords):
+    """Index of the group element with index gi plus the element with
+    coordinates coords, in spec.elements() order."""
+    if spec.variant == G.CYCLIC:
+        return (gi + coords[0]) % spec.moduli[0]
+    p, q = spec.moduli
+    a, b = divmod(gi, q)
+    return (a + coords[0]) % p * q + (b + coords[1]) % q
 
 
 def odd_prime_cyclic(spec):
@@ -112,20 +148,7 @@ def build_lift(g):
     """The symmetric cover of g.  |Gamma| * n vertices, |Gamma| * m edges,
     with the edge over (base edge ij, gamma) joining (i, gamma) to
     (j, color_ij + gamma)."""
-    _require_liftable(g.spec)
-    group = g.spec.elements()
-    gidx = {e.coords: i for i, e in enumerate(group)}
-    vertices = [(i, gi) for i in g.vertices for gi in range(len(group))]
-    vidx = {v: i for i, v in enumerate(vertices)}
-    edges = []
-    fiber = {}
-    for e in sorted(g.edges):
-        fiber[e.id] = range(len(edges), len(edges) + len(group))
-        for gi, gamma in enumerate(group):
-            other = (e.color + gamma).coords
-            edges.append(LiftEdge(len(edges), vidx[(e.tail, gi)],
-                                  vidx[(e.head, gidx[other])], e.id, gi))
-    return SymmetricGraph(g, group, gidx, vertices, vidx, edges, fiber)
+    return SymmetricGraph(g)
 
 
 def _component_count(n, pairs):
@@ -256,12 +279,12 @@ def lift_witness(rejection):
     uses two edges of that fiber.
     """
     sg, mg, game, f = rejection
-    edges = sg.edges
+    edges, N = sg.edges, len(sg.group)
     region = game.reachable(edges[f].x, edges[f].y)
-    seed = sorted({e.base_eid for e in edges[:f + 1]
-                   if e.x in region and e.y in region})
-    keep = _shrink(mg, 2, 3, [sg._fiber[b] for b in seed])
-    witness = frozenset(seed[j] for j in keep)
+    firsts = sorted({e.id - e.gamma_index for e in edges[:f + 1]
+                     if e.x in region and e.y in region})
+    keep = _shrink(mg, 2, 3, [range(x, x + N) for x in firsts])
+    witness = frozenset(edges[firsts[j]].base_eid for j in keep)
     if not _subset_violates(sg.base, CONE, witness):
         raise InternalInvariantError(
             "projected lift circuit %r does not break the cone count"
@@ -366,9 +389,9 @@ def eliminate_orbit_circuit(sg, circuit, orbit_rep):
 # --- export --------------------------------------------------------------
 
 
-def colored_graph_to_dot(g, name="colored"):
+def colored_graph_to_dot(g):
     """DOT for a colored graph: directed edges labeled by color."""
-    lines = ["digraph %s {" % name]
+    lines = ["digraph colored {"]
     for v in g.vertices:
         lines.append("  v%d [label=\"%d\"];" % (v, v))
     for e in sorted(g.edges):
@@ -377,16 +400,15 @@ def colored_graph_to_dot(g, name="colored"):
     return "\n".join(lines) + "\n"
 
 
-def lift_to_dot(sg, name="lift"):
-    """DOT for a lift: undirected, fibers grouped into clusters."""
-    lines = ["graph %s {" % name]
-    by_base = {}
-    for vi, (i, gi) in enumerate(sg.vertices):
-        by_base.setdefault(i, []).append(vi)
-    for i in sorted(by_base):
+def lift_to_dot(sg):
+    """DOT for a lift: undirected, fibers grouped into clusters in
+    ascending base vertex order."""
+    lines = ["graph lift {"]
+    N = len(sg.group)
+    for i, a in sorted(sg.base._pos.items()):
         lines.append("  subgraph cluster_%d {" % i)
         lines.append("    label=\"fiber %d\";" % i)
-        for vi in by_base[i]:
+        for vi in range(a * N, a * N + N):
             lines.append("    n%d [label=\"%s\"];" % (vi, sg.vertex_name(vi)))
         lines.append("  }")
     for e in sg.edges:

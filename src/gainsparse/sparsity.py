@@ -49,9 +49,10 @@ DEFAULT_BUDGET = 24
 
 class UncoloredMultigraph:
     """Undirected multigraph: vertex ids plus (id, u, v) edges.  Loops and
-    parallel edges are the whole point."""
+    parallel edges are the whole point.  Pebble games run on positions
+    in `vertices`, read from one vertex -> position map."""
 
-    __slots__ = ("vertices", "edges", "_byid")
+    __slots__ = ("vertices", "edges", "_pos", "_byid")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -62,7 +63,7 @@ class UncoloredMultigraph:
             else:
                 out.append((int(e[0]), int(e[1]), int(e[2])))
         self.edges = tuple(out)
-        self._byid = _index_graph(self.vertices, self.edges)[1]
+        self._pos, self._byid = _index_graph(self.vertices, self.edges)
 
     @property
     def n(self):
@@ -167,16 +168,15 @@ class _PebbleGame:
 
 
 def _run_game(g, k, l, order=None, stop_on_reject=False):
-    vidx = {v: i for i, v in enumerate(g.vertices)}
     game = _PebbleGame(len(g.vertices), k, l)
     accepted = []
     rejected = []
     if order is None:
         order = [e[0] for e in sorted(g.edges)]
-    byid = g._byid
+    pos, byid = g._pos, g._byid
     for eid in order:
         _, u, v = byid[eid]
-        if game.insert(vidx[u], vidx[v]):
+        if game.insert(pos[u], pos[v]):
             accepted.append(eid)
         else:
             rejected.append(eid)
@@ -236,11 +236,11 @@ def fundamental_circuit(g, params, basis, eid):
         raise UsageError("given basis is not (k,l)-sparse")
     if eid in accepted:
         raise NoCircuitError("edge %d is independent of the basis" % eid)
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    _, u, v = g._byid[eid]
-    region = game.reachable(vidx[u], vidx[v])
-    inside = [f for f in basis if vidx[g._byid[f][1]] in region
-              and vidx[g._byid[f][2]] in region]
+    pos, byid = g._pos, g._byid
+    _, u, v = byid[eid]
+    region = game.reachable(pos[u], pos[v])
+    inside = [f for f in basis if pos[byid[f][1]] in region
+              and pos[byid[f][2]] in region]
     if inside and len(inside) != k * len(region) - l:
         raise InternalInvariantError(
             "stuck region spans %d basis edges on %d vertices"
@@ -363,7 +363,7 @@ def _search_violation(g, family):
     m = len(edges)
     if m == 0:
         return None
-    vidx = {v: i for i, v in enumerate(g.vertices)}
+    vidx = g._pos
     n = len(g.vertices)
 
     # dense edge arrays and incidence bitmasks
@@ -398,61 +398,43 @@ def _search_violation(g, family):
         csub = lambda a, b: ((a[0] - b[0]) % pp, (a[1] - b[1]) % qq)
         zero = (0, 0)
 
-    two_sided = spec.ncoords == 2 and variant != G.FREE2
-    lattice = variant == G.FREE2
+    # Only the colored count tells rank 1 from rank 2.  Ross reads only
+    # whether the rank is zero, and the cone and cylinder groups have
+    # rank at most 1, so for them the rank is whether an image is nonzero.
+    lattice = family == COLORED
 
     # rank bookkeeping for the current connected piece: a log of image
-    # insertions so backtracking can pop.  For Z and prime Z/k the rank is
-    # nonzero-count > 0; for Z^2 a pivot vector plus a count of images
-    # independent of it; for Z/p x Z/q one nonzero-count per side.
-    state = {"nz": 0, "pivot": None, "ind2": 0, "nzA": 0, "nzB": 0}
+    # insertions so backtracking can pop.  The colored count keeps a Z^2
+    # pivot vector plus a count of images independent of it; the others
+    # a count of nonzero images.
+    state = {"nz": 0, "pivot": None, "ind2": 0}
 
     def img_push(val):
-        if lattice:
-            if val == (0, 0):
-                return 0
-            if state["pivot"] is None:
-                state["pivot"] = val
-                return 1
-            px, py = state["pivot"]
-            if px * val[1] - py * val[0] != 0:
-                state["ind2"] += 1
-                return 2
+        if val == zero:
             return 0
-        if two_sided:
-            t = 0
-            if val[0]:
-                state["nzA"] += 1
-                t |= 4
-            if val[1]:
-                state["nzB"] += 1
-                t |= 8
-            return t
-        if val != zero:
+        if not lattice:
             state["nz"] += 1
             return 3
+        if state["pivot"] is None:
+            state["pivot"] = val
+            return 1
+        px, py = state["pivot"]
+        if px * val[1] - py * val[0] != 0:
+            state["ind2"] += 1
+            return 2
         return 0
 
     def img_pop(tag):
-        if tag == 0:
-            return
         if tag == 1:
             state["pivot"] = None
         elif tag == 2:
             state["ind2"] -= 1
         elif tag == 3:
             state["nz"] -= 1
-        else:
-            if tag & 4:
-                state["nzA"] -= 1
-            if tag & 8:
-                state["nzB"] -= 1
 
     def cur_rank():
         if lattice:
             return 2 if state["ind2"] else (1 if state["pivot"] is not None else 0)
-        if two_sided:
-            return (1 if state["nzA"] else 0) + (1 if state["nzB"] else 0)
         return 1 if state["nz"] else 0
 
     if family == ROSS:
@@ -493,7 +475,7 @@ def _search_violation(g, family):
         elif collect_col and r >= 1:
             d = mm - (2 * nn - 2)
             if d > 0:
-                if lattice and state["pivot"] is not None:
+                if state["pivot"] is not None:
                     gens = [state["pivot"]]
                     # a second generator only matters when the piece has rank 2
                     if r == 2:
@@ -569,24 +551,13 @@ def _combine_colored(pieces):
     Needed only for the colored count: e.g. two disjoint rank-1 pieces
     with parallel images, or a rank-2 piece plus rank-1 satellites."""
 
-    def rank2(gens):
-        pivot = None
-        for x, y in gens:
-            if x == 0 and y == 0:
-                continue
-            if pivot is None:
-                pivot = (x, y)
-            elif pivot[0] * y - pivot[1] * x != 0:
-                return 2
-        return 0 if pivot is None else 1
-
     nn = len(pieces)
     best = [None]
 
     def rec(i, vmask, emask, tot, gens, count):
         if best[0] is not None:
             return
-        if count >= 2 and tot > max(2 * rank2(gens) - 1, 0):
+        if count >= 2 and tot > max(2 * G._lattice_rank(gens) - 1, 0):
             best[0] = emask
             return
         for j in range(i, nn):

@@ -45,6 +45,7 @@ Z3 = GroupSpec.parse("Z/3")
 Z5 = GroupSpec.parse("Z/5")
 Z7 = GroupSpec.parse("Z/7")
 Z2 = GroupSpec.parse("Z^2")
+Z3x5 = GroupSpec.parse("Z/3xZ/5")
 
 
 def _nx_multigraph(sg):
@@ -78,21 +79,41 @@ def test_lift_of_cone_base_is_laman_sparse_cycle():
     assert is_kl_sparse(sg.multigraph(), P23)
 
 
-def test_fiber_counts_and_free_action():
-    g = ColoredGraph(Z5, range(3),
-                     [(0, 0, 0, (2,)), (1, 0, 1, (1,)), (2, 1, 2, (3,)),
-                      (3, 2, 0, (0,))])
+@pytest.mark.parametrize("spec, colors", [
+    (Z5, [(2,), (1,), (3,), (0,)]),
+    (Z3x5, [(2, 1), (1, 0), (0, 4), (0, 0)]),
+], ids=["Z5", "Z3xZ5"])
+def test_fiber_counts_and_free_action(spec, colors):
+    # base vertex ids out of order, so ids and names must not be confused
+    names = [4, 2, 7]
+    ends = [(0, 0), (0, 1), (1, 2), (2, 0)]
+    g = ColoredGraph(spec, names, [(i, names[u], names[v], c) for i, ((u, v), c)
+                                   in enumerate(zip(ends, colors))])
     sg = build_lift(g)
-    assert sg.n == 5 * g.n and sg.m == 5 * g.m
+    N = spec.order
+    assert sg.n == N * g.n and sg.m == N * g.m
     for eid in range(sg.m):
-        assert len(sg.orbit_of_edge(eid)) == 5
-    for gamma in Z5.elements():
+        orbit = sg.orbit_of_edge(eid)
+        assert len(orbit) == N
+        assert {sg.edges[f].base_eid for f in orbit} == {sg.edges[eid].base_eid}
+    for gamma in spec.elements():
         mapped_v = [sg.act_on_vertex(gamma, v) for v in range(sg.n)]
         mapped_e = [sg.act_on_edge(gamma, e) for e in range(sg.m)]
         assert sorted(mapped_v) == list(range(sg.n))
         assert sorted(mapped_e) == list(range(sg.m))
         if not gamma.is_zero():
             assert all(mv != v for v, mv in enumerate(mapped_v))
+        # the action by definition: gamma . (i, delta) = (i, delta + gamma)
+        for v, mv in enumerate(mapped_v):
+            i, gi = sg.vertices[v]
+            j, gj = sg.vertices[mv]
+            assert j == i and sg.group[gj] == sg.group[gi] + gamma
+        # an edge goes to the edge over the same base edge whose
+        # endpoints are its endpoints acted on
+        for e, me in zip(sg.edges, mapped_e):
+            f = sg.edges[me]
+            assert f.base_eid == e.base_eid
+            assert (f.x, f.y) == (mapped_v[e.x], mapped_v[e.y])
 
 
 def test_lift_rejects_unsupported_groups():
@@ -152,6 +173,14 @@ def test_lift_recognition_fixed_cases():
     g = ColoredGraph(Z3, [1, 2],
                      [(0, 1, 2, (0,)), (1, 1, 2, (1,)), (2, 1, 1, (1,))])
     assert cone_laman_via_lift(g) == check_colored_sparsity(g, "cone").tight
+    # The region the third edge's search reaches holds the loop, so it is
+    # unbalanced, yet the two parallel zero edges are a balanced set over
+    # the (2,3) count: a balance test on the whole region misses it.
+    g = ColoredGraph(Z3, [0, 1],
+                     [(0, 0, 1, (0,)), (1, 0, 0, (1,)), (2, 0, 1, (0,))])
+    assert not cone_laman_via_lift(g)
+    for method in ("brute", "lift"):
+        assert check(g, "cone", method=method).witness == {0, 2}
 
 
 def test_lift_recognition_needs_exact_edge_count():
@@ -391,3 +420,11 @@ def test_lift_text_and_dot_formats():
     assert 'label="fiber 0"' in dot
     assert 'n0 [label="0_0"]' in dot
     assert "n0 -- n1;" in dot
+    # vertex ids given out of order: clusters still ascend by base vertex,
+    # each holding its own fiber's run of lift ids
+    sg = build_lift(ColoredGraph(Z3, [5, 2], [(0, 5, 2, (1,)), (1, 2, 2, (1,)),
+                                              (2, 5, 5, (2,))]))
+    dot = lift_to_dot(sg)
+    assert dot.index("cluster_2") < dot.index("cluster_5")
+    fiber2 = dot[dot.index("cluster_2"):dot.index("cluster_5")]
+    assert all('n%d [label="2_%d"]' % (3 + gi, gi) in fiber2 for gi in range(3))

@@ -34,6 +34,7 @@ Z = GroupSpec.parse("Z")
 Z3 = GroupSpec.parse("Z/3")
 Z5 = GroupSpec.parse("Z/5")
 Z2 = GroupSpec.parse("Z^2")
+Z3x5 = GroupSpec.parse("Z/3xZ/5")
 
 
 def _mg(n, pairs):
@@ -246,11 +247,11 @@ def _random_colored(rng, spec, n_max=4, m_max=7, span=2):
 
 
 _FAMILY_SPECS = [("ross", Z2), ("cone", Z3), ("cone", Z5),
-                 ("cylinder", Z), ("colored", Z2)]
+                 ("cylinder", Z), ("colored", Z2), ("ross", Z3x5)]
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10**6))
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=10**6))
 def test_colored_checks_match_enumeration_oracle(fi, seed):
     family, spec = _FAMILY_SPECS[fi]
     g = _random_colored(random.Random(seed), spec)
@@ -278,7 +279,7 @@ def test_tighter_count_implies_looser_count(seed):
 
 
 @settings(deadline=None, max_examples=120)
-@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=10**6))
+@given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=10**6))
 def test_witness_is_minimal(fi, seed):
     family, spec = _FAMILY_SPECS[fi]
     g = _random_colored(random.Random(seed), spec)
