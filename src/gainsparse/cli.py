@@ -139,7 +139,7 @@ def _parser():
     p.set_defaults(run=_cmd_deconstruct)
 
     p = sub.add_parser("verify", help="replay a certificate, checking "
-                                      "every prefix")
+                                      "every move")
     p.add_argument("certificate", help="certificate file")
     p.set_defaults(run=_cmd_verify)
 

@@ -13,12 +13,18 @@ of membership.  Three moves appear:
            third vertex c, with color_an - color_bn equal to the color
            of the removed edge
 
-A Certificate is a base graph plus a move list.  Verification replays
-the list and re-checks the family count after every prefix, so nothing
-about a certificate is trusted.  Deconstruction runs the moves
-backwards: repeatedly delete a vertex of degree two or three whose
-removal keeps the graph tight, then replay forward to emit moves whose
-edge ids match the replay, not the stripping order.
+A Certificate is a base graph plus a move list.  The forward half of
+the construction theorems ("Henneberg constructions and covers of
+cone-Laman graphs", arXiv:1204.0503) says that h1c, h1cp and h2c keep
+a tight graph tight in its family whenever the move's local rules
+hold: distinct colors on parallel edges, a nonzero lollipop loop, and
+the split identity.
+apply_move enforces exactly those rules, so verification checks the
+base and every move's rules, then runs one family check on the final
+graph.  Deconstruction runs the moves backwards: repeatedly delete a
+vertex of degree two or three whose removal keeps the graph tight, then
+replay forward to emit moves whose edge ids match the replay, not the
+stripping order.
 
 check() is the library's verdict entry point.  It and tight_in_family
 share one lift route (_lift_failure): a Z/p graph with 2n-1 edges is
@@ -42,8 +48,8 @@ from .lifts import (lift_rejection, path_color_sum, reduce_colors,
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
-                       check_colored_sparsity, is_kl_spanning, underlying,
-                       _subset_violates)
+                       check_colored_sparsity, family_bound, graph_counts,
+                       is_kl_spanning, underlying, _subset_violates)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -158,8 +164,9 @@ def apply_move(g, m):
         out = g.without_edge(m.split).with_vertex(m.n).with_edges(new)
     else:
         raise UsageError("unknown move kind %r" % (getattr(m, "kind", None),))
-    # every move adds one vertex and two edges net, so tight stays tight
-    # arithmetically and only the subgraph counts need re-checking
+    # every move adds one vertex and two edges net, and with the local
+    # rules above the forward theorem keeps every subgraph count too, so
+    # a tight g gives a tight out and callers need no family check
     assert out.n == g.n + 1 and out.m == g.m + 2
     return out
 
@@ -337,13 +344,33 @@ def reverse_candidates(g, v, family):
 
 
 def _pick_reverse(work, family, fam):
-    # move kinds in preference order, vertices in id order inside each
+    """First reverse move of the tight graph work whose predecessor is
+    tight, scanning move kinds in preference order and vertices by id.
+
+    An h1c or h1cp predecessor is work minus v and its two edges.  It is
+    a subgraph of a sparse graph, so it is sparse, and it is tight
+    exactly when the whole-graph count (graph_counts against
+    family_bound, isolated vertices included) holds with equality.  No
+    subgraph search is needed.  The count can only fail one way: v's
+    removal takes 2 from 2n and 2 edges, the pieces v's component leaves
+    behind pay at least the penalty that component paid, and the
+    cylinder rank cannot grow, so the bound drops by 2 or more and
+    drops by more only when a piece pays extra, as a neighbour left
+    isolated does.  An h2c predecessor rejoins an edge work does not
+    have, which can break sparsity, so it takes the full
+    tight_in_family.
+    """
     for kind in fam.kinds:
         for v in sorted(work.vertices):
             if _degree_pattern(work, v) != kind:
                 continue
             for mv, cand in reverse_candidates(work, v, family):
-                if tight_in_family(cand, family):
+                if kind == "h2c":
+                    tight = tight_in_family(cand, family)
+                else:
+                    counts = graph_counts(cand)
+                    tight = counts.m_prime == family_bound(family, counts)
+                if tight:
                     return mv, cand
     return None
 
@@ -377,11 +404,13 @@ def deconstruct(g, family):
 
     Stripping picks, at each step, the first admissible reversal in a
     fixed scan order: move kinds in the family's preference order, then
-    vertices by ascending id, then candidate pairs by edge id.  Every
-    candidate is re-verified tight before being accepted, so the run is
-    deterministic and self-checking.  The forward replay then rebuilds
-    the graph from the base to fix up h2c split ids, and the result is
-    checked against g edge-for-edge (orientation free) before return.
+    vertices by ascending id, then candidate pairs by edge id, so the
+    run is deterministic.  g itself takes one full family check; after
+    that a candidate is accepted on the test _pick_reverse proves enough
+    for its kind: the whole-graph count for h1c and h1cp, the full check
+    for h2c.  The forward replay then rebuilds the graph from the base
+    to fix up h2c split ids, and the result is checked against g
+    edge-for-edge (orientation free) before return.
     """
     fam = family_def(family)
     if g.spec.variant != fam.variant:
@@ -421,9 +450,16 @@ def verify_certificate(cert):
     """Replay cert from its base and return the final graph.
 
     The base must be the family's base graph, every move kind must be
-    allowed for the family, every move must validate, and every prefix
-    must be tight.  Failures raise CertificateError carrying the
-    0-based index of the offending move (-1 for the base)."""
+    allowed for the family, and every move must pass apply_move's local
+    rules.  Failures raise CertificateError carrying the 0-based index
+    of the offending move (-1 for the base).
+
+    No prefix is checked for tightness: a base is tight, and by the
+    forward theorem a move that passes its local rules keeps a tight
+    graph tight, so every prefix is.  One tight_in_family on the final
+    graph of a nonempty move list confirms that; if it fails the
+    library is wrong, not the certificate, and InternalInvariantError
+    is raised."""
     fam = family_def(cert.family)
     if not is_base(cert.base, cert.family):
         raise CertificateError(-1, "base graph is not a %s base" % cert.family)
@@ -437,9 +473,10 @@ def verify_certificate(cert):
             g = apply_move(g, mv)
         except (UsageError, InvalidMoveError) as exc:
             raise CertificateError(i, str(exc)) from exc
-        if not tight_in_family(g, cert.family):
-            raise CertificateError(
-                i, "graph is not %s-tight after this move" % cert.family)
+    if cert.moves and not tight_in_family(g, cert.family):
+        raise InternalInvariantError(
+            "valid %s moves replayed to a graph that is not %s-tight"
+            % (cert.family, cert.family))
     return g
 
 
@@ -488,9 +525,10 @@ def random_construct(family, steps, seed, group=None):
     """Build a reproducible random certificate with `steps` moves.
 
     Each step samples a move kind and colors from a small pool and
-    keeps the first draw whose result passes the family check; some
-    draw always works, so the retry cap only trips on a real bug.  The
-    cone group is picked from Z/3, Z/5, Z/7 unless `group` pins one;
+    keeps the first draw apply_move accepts; by the forward theorem that
+    draw keeps the graph tight, so no family check runs.  Most draws
+    pass the local rules, so the retry cap only trips on a real bug.
+    The cone group is picked from Z/3, Z/5, Z/7 unless `group` pins one;
     Ross and cylinder groups are fixed by the family.
     """
     if steps < 0:
@@ -515,13 +553,11 @@ def random_construct(family, steps, seed, group=None):
         for _ in range(_RETRY_CAP):
             mv = _sample_move(fam, g, rng)
             try:
-                h = apply_move(g, mv)
+                g = apply_move(g, mv)
             except InvalidMoveError:
                 continue
-            if tight_in_family(h, family):
-                g = h
-                moves.append(mv)
-                break
+            moves.append(mv)
+            break
         else:
             raise GenerationError(
                 "no admissible %s move found in %d tries" % (family, _RETRY_CAP))

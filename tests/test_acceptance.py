@@ -248,6 +248,9 @@ def _certificate_corpus(family):
 
 
 def test_criterion_4_construction_closure(capsys):
+    # random_construct keeps every draw that passes apply_move's local
+    # rules, with no tightness filter, so this brute-force check of every
+    # prefix is the test of the closure theorem the certificate paths use
     t0 = time.perf_counter()
     bad = []
     prefixes = 0

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gainsparse.henneberg
 from gainsparse import (
     CONSTRUCTIBLE,
     Certificate,
@@ -12,6 +13,7 @@ from gainsparse import (
     H1c,
     H1cPrime,
     H2c,
+    InternalInvariantError,
     InvalidMoveError,
     NoCandidatesError,
     ParseError,
@@ -22,7 +24,9 @@ from gainsparse import (
     check,
     check_colored_sparsity,
     deconstruct,
+    family_bound,
     family_def,
+    graph_counts,
     is_base,
     is_kl_spanning,
     parse_certificate,
@@ -350,3 +354,155 @@ def test_certificate_parse_errors():
         parse_certificate("family cone\nbegin base\ngroup Z/5\nvertices 1\n"
                           "edge 0 2 1\nend base\n")
     assert ei.value.lineno == 5
+
+
+# the forward theorem and the reverse lemma the certificate paths rely on
+
+# (family, group) pairs the construction runs over; cone takes the odd
+# primes random_construct picks from
+_MOVE_SPECS = [("ross", Z2), ("cone", GroupSpec.cyclic(3)), ("cone", Z5),
+               ("cone", GroupSpec.cyclic(7)), ("cylinder", Z)]
+
+
+def _brute_tight(g, family):
+    """Tightness by subgraph enumeration, plus (2,2)-spanning for
+    cylinder, as acceptance criterion 4 judges it."""
+    return (check_colored_sparsity(g, family).tight
+            and (family != "cylinder"
+                 or is_kl_spanning(underlying(g), SparsityParams(2, 2))))
+
+
+def _colors(spec):
+    if spec.finite:
+        return st.sampled_from(spec.elements())
+    coord = st.integers(min_value=-3, max_value=3)
+    return st.tuples(*[coord] * spec.ncoords).map(lambda c: spec.elem(*c))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_MOVE_SPECS), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=10**6), st.booleans(), st.data())
+def test_accepted_moves_keep_tight_graphs_tight(spec_row, steps, seed,
+                                                 repeat, data):
+    # every move apply_move accepts on a tight graph gives a tight graph;
+    # `repeat` forces the edge cases: h1c with a == b, and h2c whose
+    # third vertex is an endpoint of the split edge
+    family, spec = spec_row
+    g = verify_certificate(random_construct(family, steps, seed, group=spec))
+    assert _brute_tight(g, family)
+    color = _colors(spec)
+    verts = sorted(g.vertices)
+    n = verts[-1] + 1
+    kind = data.draw(st.sampled_from(family_def(family).kinds))
+    if kind == "h1c":
+        a = data.draw(st.sampled_from(verts))
+        b = a if repeat else data.draw(st.sampled_from(verts))
+        mv = H1c(n, a, b, data.draw(color), data.draw(color))
+    elif kind == "h1cp":
+        mv = H1cPrime(n, data.draw(st.sampled_from(verts)), data.draw(color),
+                      data.draw(color))
+    else:
+        split = g.edge(data.draw(st.sampled_from(sorted(g.edge_ids()))))
+        c = data.draw(st.sampled_from((split.tail, split.head) if repeat
+                                      else verts))
+        can = data.draw(color)
+        mv = H2c(n, split.id, can, can - split.color, c, data.draw(color))
+    try:
+        h = apply_move(g, mv)
+    except InvalidMoveError:
+        return
+    assert h.m <= 24
+    assert _brute_tight(h, family), mv
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(_MOVE_SPECS), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=10**6))
+def test_reverse_vertex_deletions_of_tight_graphs_are_tight(spec_row, steps,
+                                                            seed):
+    # deconstruct accepts an h1c or h1cp predecessor on the whole-graph
+    # count alone; every such predecessor of a constructed graph must be
+    # tight by brute force, so that count decides what the full check did
+    family, spec = spec_row
+    g = verify_certificate(random_construct(family, steps, seed, group=spec))
+    for v in sorted(g.vertices):
+        try:
+            cands = reverse_candidates(g, v, family)
+        except NoCandidatesError:
+            continue
+        for mv, cand in cands:
+            if mv.kind == "h2c":
+                continue
+            counts = graph_counts(cand)
+            assert counts.m_prime == family_bound(family, counts)
+            assert _brute_tight(cand, family), (v, mv)
+
+
+# work counts: one family check per certificate, none per draw
+
+def _count_tight(monkeypatch, result=None):
+    seen = []
+    real = gainsparse.henneberg.tight_in_family
+
+    def counting(g, family):
+        seen.append(g)
+        return real(g, family) if result is None else result
+
+    monkeypatch.setattr(gainsparse.henneberg, "tight_in_family", counting)
+    return seen
+
+
+def _tampered(mv, spec):
+    """mv with one local rule broken."""
+    if mv.kind == "h1c":
+        return mv._replace(b=mv.a, cb=mv.ca)
+    if mv.kind == "h1cp":
+        return mv._replace(loop=spec.zero())
+    shift = spec.elem(*([1] + [0] * (spec.ncoords - 1)))
+    return mv._replace(can=mv.can + shift)
+
+
+@pytest.mark.parametrize("family", sorted(CONSTRUCTIBLE))
+def test_certificates_take_one_family_check(monkeypatch, family):
+    steps = 5 if family == "ross" else 12
+    seen = _count_tight(monkeypatch)
+    cert = random_construct(family, steps, 3)
+    assert seen == []
+
+    g = verify_certificate(cert)
+    assert len(seen) == 1 and seen[0] is g
+
+    bad = cert._replace(
+        moves=cert.moves[:-1] + (_tampered(cert.moves[-1], cert.base.spec),))
+    seen.clear()
+    with pytest.raises(CertificateError) as ei:
+        verify_certificate(bad)
+    assert ei.value.step == steps - 1
+    assert seen == []
+
+    # deconstruct checks g once, then only the h2c candidates it tries
+    h2c = []
+    real_reverse = gainsparse.henneberg.reverse_candidates
+
+    def recording(work, v, fam):
+        out = real_reverse(work, v, fam)
+        h2c.extend(cand for mv, cand in out if mv.kind == "h2c")
+        return out
+
+    monkeypatch.setattr(gainsparse.henneberg, "reverse_candidates", recording)
+    seen.clear()
+    back = deconstruct(g, family)
+    assert seen[0] is g
+    assert all(any(c is cand for cand in h2c) for c in seen[1:])
+    n_h2c = sum(mv.kind == "h2c" for mv in back.moves)
+    assert n_h2c <= len(seen) - 1 <= len(h2c)
+    assert len(back.moves) > n_h2c
+
+
+def test_failed_final_check_is_an_internal_error(monkeypatch):
+    cert = random_construct("cone", 4, 5)
+    _count_tight(monkeypatch, result=False)
+    with pytest.raises(InternalInvariantError):
+        verify_certificate(cert)
+    # a bare base is tight by definition and takes no check
+    assert verify_certificate(cert._replace(moves=())) == cert.base
