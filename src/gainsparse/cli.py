@@ -158,7 +158,9 @@ def main(argv=None):
     try:
         return args.run(args)
     except BudgetExceededError as exc:
-        print("error: %s (try --method lift)" % exc, file=sys.stderr)
+        # only check has another engine to offer
+        hint = " (try --method lift)" if args.command == "check" else ""
+        print("error: %s%s" % (exc, hint), file=sys.stderr)
         return 3
     except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

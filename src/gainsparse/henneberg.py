@@ -405,7 +405,8 @@ def deconstruct(g, family):
     Stripping picks, at each step, the first admissible reversal in a
     fixed scan order: move kinds in the family's preference order, then
     vertices by ascending id, then candidate pairs by edge id, so the
-    run is deterministic.  g itself takes one full family check; after
+    run is deterministic.  g must be tight and connected, else
+    PreconditionError; it takes one full family check, and after
     that a candidate is accepted on the test _pick_reverse proves enough
     for its kind: the whole-graph count for h1c and h1cp, the full check
     for h2c.  The forward replay then rebuilds the graph from the base
@@ -418,6 +419,14 @@ def deconstruct(g, family):
             "family %s expects %s colors, got %s" % (family, fam.variant, g.spec))
     if not tight_in_family(g, family):
         raise PreconditionError("input graph is not %s-tight" % family)
+    # every base is connected and every move attaches its new vertex to
+    # old ones, so no certificate builds a disconnected graph, though the
+    # whole-graph count can call one tight
+    gc = graph_counts(g)
+    if gc.c0 + gc.c1 + gc.c2 != 1:
+        raise PreconditionError(
+            "input graph is not connected; certificates build connected "
+            "graphs only")
     trail = []
     work = g
     while not is_base(work, family):

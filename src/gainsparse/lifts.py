@@ -27,7 +27,7 @@ from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
 from . import groups as G
 from .graphs import ColoredGraph, components
 from .sparsity import (CONE, CYLINDER, UncoloredMultigraph, underlying,
-                       fundamental_circuit, _run_game, _shrink,
+                       fundamental_circuit, _play, _run_game, _shrink,
                        _subset_violates)
 # Unused here: perfbench/spans.py patches both by name and fails without.
 from .sparsity import kl_basis, is_kl_sparse  # noqa: F401
@@ -49,9 +49,15 @@ class SymmetricGraph:
     run of N consecutive ids, the action shifts the offset inside the
     run, and the quotient divides by N.  The fixed edge order makes
     pebble runs on the lift reproducible.
+
+    The cover is stored as two flat int lists indexed by lift edge id:
+    xs[f] and ys[f] are the vertex ids of the (tail, gamma) and
+    (head, color + gamma) ends of edge f.  Pebble games run straight
+    over them.  `edges`, the same cover as LiftEdge records, and
+    `multigraph()` are built from them on demand.
     """
 
-    __slots__ = ("base", "group", "edges")
+    __slots__ = ("base", "group", "xs", "ys")
 
     def __init__(self, base):
         _require_liftable(base.spec)
@@ -61,14 +67,17 @@ class SymmetricGraph:
         pos = base._pos
         # one int object per lift vertex, shared by all the edge ends at it
         ids = list(range(N * len(base.vertices)))
-        edges = []
+        shifts = {}                              # color -> fiber permutation
+        xs, ys = [], []
         for e in sorted(base.edges):
             x, y, c = pos[e.tail] * N, pos[e.head] * N, e.color.coords
-            for gi in range(N):
-                edges.append(LiftEdge(len(edges), ids[x + gi],
-                                      ids[y + _shift(base.spec, gi, c)],
-                                      e.id, gi))
-        self.edges = edges                       # list of LiftEdge
+            perm = shifts.get(c)
+            if perm is None:
+                perm = shifts[c] = [_shift(base.spec, gi, c) for gi in range(N)]
+            xs += ids[x:x + N]
+            ys += map(ids[y:y + N].__getitem__, perm)
+        self.xs = xs
+        self.ys = ys
 
     @property
     def vertices(self):
@@ -81,7 +90,15 @@ class SymmetricGraph:
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.xs)
+
+    @property
+    def edges(self):
+        """The lift edges as LiftEdge records, in id order."""
+        N = len(self.group)
+        beids = sorted(self.base.edge_ids())
+        return [LiftEdge(f, x, y, beids[f // N], f % N)
+                for f, (x, y) in enumerate(zip(self.xs, self.ys))]
 
     def vertex_name(self, vi):
         a, gi = divmod(vi, len(self.group))
@@ -114,7 +131,7 @@ class SymmetricGraph:
     def multigraph(self):
         """The lift as an uncolored multigraph on dense vertex indices."""
         return UncoloredMultigraph(range(self.n),
-                                  [(e.id, e.x, e.y) for e in self.edges])
+                                   zip(range(self.m), self.xs, self.ys))
 
     def __repr__(self):
         return "SymmetricGraph(over %s, n=%d, m=%d)" % (self.base.spec, self.n, self.m)
@@ -181,7 +198,7 @@ def lift_component_count(g):
     if len(components(g.full())) != 1 or len(g.full().vertex_set) != g.n:
         raise UsageError("lift_component_count needs a connected graph")
     sg = build_lift(g)
-    return _component_count(sg.n, [(e.x, e.y) for e in sg.edges])
+    return _component_count(sg.n, zip(sg.xs, sg.ys))
 
 
 def path_color_sum(g, edge_ai, i, edge_ib):
@@ -205,17 +222,17 @@ def path_color_sum(g, edge_ai, i, edge_ib):
 
 def lift_rejection(g):
     """Play the (2,3) pebble game on the lift of a graph with 2n-1 edges
-    up to its first rejection.  None when g is cone-Laman, else the stuck
-    run (sg, mg, game, f): the lift, its multigraph, the game and the
-    rejected lift edge id, for lift_witness."""
+    up to its first rejection, straight over the lift's end arrays.  None
+    when g is cone-Laman, else the stuck run (sg, game, f): the lift, the
+    game and the rejected lift edge id, for lift_witness."""
     _require_liftable(g.spec)
     if g.m != 2 * g.n - 1:
         raise PreconditionError(
             "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
     sg = build_lift(g)
-    mg = sg.multigraph()
-    game, _, rejected = _run_game(mg, 2, 3, stop_on_reject=True)
-    return (sg, mg, game, rejected[0]) if rejected else None
+    game, _, rejected = _play(sg.n, 2, 3, zip(range(sg.m), sg.xs, sg.ys),
+                              stop_on_reject=True)
+    return (sg, game, rejected[0]) if rejected else None
 
 
 def cone_laman_via_lift(g):
@@ -262,7 +279,7 @@ def reduce_colors(g):
 
 def lift_witness(rejection):
     """A minimal cone-violating base edge set from the stuck run
-    (sg, mg, game, f) of lift_rejection.
+    (sg, game, f) of lift_rejection.
 
     The search for lift edge f stuck in a region R holding at most 3
     free pebbles, so R spans at least 2|R| - 3 accepted edges, dependent
@@ -278,13 +295,14 @@ def lift_witness(rejection):
     of a fiber can leave a second circuit, over fewer base edges, that
     uses two edges of that fiber.
     """
-    sg, mg, game, f = rejection
-    edges, N = sg.edges, len(sg.group)
-    region = game.reachable(edges[f].x, edges[f].y)
-    firsts = sorted({e.id - e.gamma_index for e in edges[:f + 1]
-                     if e.x in region and e.y in region})
-    keep = _shrink(mg, 2, 3, [range(x, x + N) for x in firsts])
-    witness = frozenset(edges[firsts[j]].base_eid for j in keep)
+    sg, game, f = rejection
+    xs, ys, N = sg.xs, sg.ys, len(sg.group)
+    region = game.reachable(xs[f], ys[f])
+    firsts = sorted({i - i % N for i in range(f + 1)
+                     if xs[i] in region and ys[i] in region})
+    keep = _shrink(sg.multigraph(), 2, 3, [range(x, x + N) for x in firsts])
+    beids = sorted(sg.base.edge_ids())
+    witness = frozenset(beids[firsts[j] // N] for j in keep)
     if not _subset_violates(sg.base, CONE, witness):
         raise InternalInvariantError(
             "projected lift circuit %r does not break the cone count"
@@ -411,8 +429,8 @@ def lift_to_dot(sg):
         for vi in range(a * N, a * N + N):
             lines.append("    n%d [label=\"%s\"];" % (vi, sg.vertex_name(vi)))
         lines.append("  }")
-    for e in sg.edges:
-        lines.append("  n%d -- n%d;" % (e.x, e.y))
+    for x, y in zip(sg.xs, sg.ys):
+        lines.append("  n%d -- n%d;" % (x, y))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -421,6 +439,6 @@ def lift_to_text(sg):
     """The lift in the uncolored multigraph text format, vertices named
     <base>_<gamma>."""
     lines = ["vertex %s" % sg.vertex_name(vi) for vi in range(sg.n)]
-    for e in sg.edges:
-        lines.append("edge %s %s" % (sg.vertex_name(e.x), sg.vertex_name(e.y)))
+    for x, y in zip(sg.xs, sg.ys):
+        lines.append("edge %s %s" % (sg.vertex_name(x), sg.vertex_name(y)))
     return "\n".join(lines) + "\n"

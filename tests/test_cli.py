@@ -119,6 +119,30 @@ def test_budget_exceeded(tmp_path):
     assert "--method lift" in err
 
 
+def test_budget_hint_is_for_check_only(tmp_path):
+    # verify has no --method flag, so its budget error offers none
+    cert = tmp_path / "ross.txt"
+    code, _, _ = run_cli(["construct", "--family", "ross", "--steps", 12,
+                          "--seed", 1, cert])
+    assert code == 0
+    code, out, err = run_cli(["verify", cert])
+    assert (code, out) == (3, "")
+    assert "exceeds the enumeration budget" in err
+    assert "--method" not in err
+
+
+def test_deconstruct_disconnected_input_is_a_usage_error(tmp_path):
+    f = write_graph(tmp_path / "two.txt", ColoredGraph(
+        GroupSpec.parse("Z^2"), [0, 1, 2, 3],
+        [(0, 0, 1, (1, 0)), (1, 0, 1, (0, 1)),
+         (2, 2, 3, (1, 0)), (3, 2, 3, (0, 1))]))
+    code, out, err = run_cli(["deconstruct", f, "--family", "ross",
+                              tmp_path / "cert.txt"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "not connected" in err
+    assert not (tmp_path / "cert.txt").exists()
+
+
 def test_budget_flag_raises_cap(tmp_path):
     f = write_graph(tmp_path / "ring.txt", _long_cycle())
     code, out, _ = run_cli(["check", f, "--family", "cylinder",

@@ -249,6 +249,17 @@ def test_deconstruct_requires_tight_input():
         deconstruct(ColoredGraph(Z5, [0, 1], [(0, 0, 0, (1,))]), "cone")
 
 
+def test_deconstruct_refuses_disconnected_input():
+    # two Ross bases side by side: the whole-graph count calls this tight,
+    # but no certificate builds a disconnected graph
+    g = ColoredGraph(Z2, [0, 1, 2, 3],
+                     [(0, 0, 1, (1, 0)), (1, 0, 1, (0, 1)),
+                      (2, 2, 3, (1, 0)), (3, 2, 3, (0, 1))])
+    assert tight_in_family(g, "ross")
+    with pytest.raises(PreconditionError, match="not connected"):
+        deconstruct(g, "ross")
+
+
 def test_random_construct_is_deterministic():
     a = random_construct("cone", 5, 42)
     b = random_construct("cone", 5, 42)

@@ -246,6 +246,49 @@ def test_lift_verdict_builds_one_lift(monkeypatch, family, p):
     assert len(built) == 1
 
 
+def _z3_chain(n, seed):
+    """The adversarial pebble shape: a loop at 0, then vertex v joined to
+    v-1 and v-2 (twice to 0 for v = 1), random Z/3 colors.  Cone-tight
+    by vertex additions."""
+    rng = random.Random(seed)
+    edges = [(0, 0, 0, (1,))]
+    for v in range(1, n):
+        a, b = (v - 1, v - 2) if v >= 2 else (0, 0)
+        ca, cb = rng.randrange(3), rng.randrange(3)
+        if a == b and ca == cb:
+            cb = (cb + 1) % 3
+        edges.append((len(edges), a, v, (ca,)))
+        edges.append((len(edges), b, v, (cb,)))
+    return ColoredGraph(Z3, range(n), edges)
+
+
+def test_pebble_search_work_is_linear_on_the_chain_lift():
+    # a shortest-path search finds the free pebble a few arcs away; a
+    # depth-first one wandered off and reached ~3.7x more at double n
+    reached = []
+    for n in (1000, 2000):
+        sg = build_lift(_z3_chain(n, 1))
+        game, _, rejected = gainsparse.sparsity._play(
+            sg.n, 2, 3, zip(range(sg.m), sg.xs, sg.ys))
+        assert rejected == []
+        reached.append(game.reached)
+    assert reached[1] <= 2.5 * reached[0], reached
+
+
+def test_passing_lift_check_builds_no_multigraph(monkeypatch):
+    g = _built("cone", 40, 2, Z5)
+    built = []
+    real = UncoloredMultigraph.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(UncoloredMultigraph, "__init__", counting)
+    assert check(g, "cone", method="lift") == (True, True, None)
+    assert built == []
+
+
 def _glued(n, seed):
     """Two tight cylinder graphs on n/2 vertices each, joined by one
     bridge edge: m = 2n - 1 and the lift passes, but the underlying graph
