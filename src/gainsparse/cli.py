@@ -15,7 +15,7 @@ import sys
 from .errors import (UsageError, ParseError, CertificateError,
                      BudgetExceededError)
 from .graphs import parse_colored_graph
-from .sparsity import FAMILIES, DEFAULT_BUDGET, verdict_line
+from .sparsity import CONE, CYLINDER, FAMILIES, DEFAULT_BUDGET, verdict_line
 from .lifts import build_lift, colored_graph_to_dot, lift_to_dot, lift_to_text
 from .henneberg import (CONSTRUCTIBLE, check, random_construct, deconstruct,
                         verify_certificate, parse_certificate,
@@ -158,8 +158,9 @@ def main(argv=None):
     try:
         return args.run(args)
     except BudgetExceededError as exc:
-        # only check has another engine to offer
-        hint = " (try --method lift)" if args.command == "check" else ""
+        # only check has another engine, and only for these families
+        lift = args.command == "check" and args.family in (CONE, CYLINDER)
+        hint = " (try --method lift)" if lift else ""
         print("error: %s%s" % (exc, hint), file=sys.stderr)
         return 3
     except (ParseError, UsageError) as exc:

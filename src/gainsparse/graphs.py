@@ -21,6 +21,11 @@ Edge = namedtuple("Edge", ["id", "tail", "head", "color"])
 
 SubgraphCounts = namedtuple("SubgraphCounts", ["n_prime", "m_prime", "r", "c0", "c1", "c2"])
 
+# Most vertices a graph file may declare.  A `vertices <n>` line costs a
+# few bytes but makes the graph build an n-entry vertex map, so n is
+# capped before anything is allocated.
+MAX_VERTICES = 100000
+
 
 def _index_graph(vertices, edges):
     """The vertex -> position map and the edge-id map of a graph whose
@@ -375,7 +380,8 @@ def same_up_to_flip(g1, g2):
 
 def parse_colored_graph(text):
     """Parse the colored-graph text format.  Raises ParseError with the
-    offending line number."""
+    offending line number, also for a graph of more than MAX_VERTICES
+    vertices."""
     spec = None
     vertices = None
     edges = []
@@ -395,8 +401,13 @@ def parse_colored_graph(text):
         elif kw == "vertices":
             if vertices is not None:
                 raise ParseError(lineno, "duplicate vertices line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise ParseError(lineno, "expected `vertices <n>`")
+            # the length test keeps int() off a many-thousand-digit count
+            if (len(fields[1].lstrip("0")) > len(str(MAX_VERTICES))
+                    or int(fields[1]) > MAX_VERTICES):
+                raise ParseError(lineno, "more than %d vertices"
+                                 % MAX_VERTICES)
             vertices = known = range(int(fields[1]))
         elif kw == "vertexids":
             if vertices is not None:
@@ -407,6 +418,9 @@ def parse_colored_graph(text):
                 raise ParseError(lineno, "bad vertex id list") from None
             if not vertices:
                 raise ParseError(lineno, "vertexids needs at least one id")
+            if len(vertices) > MAX_VERTICES:
+                raise ParseError(lineno, "more than %d vertices"
+                                 % MAX_VERTICES)
             known = set(vertices)
             if len(known) != len(vertices):
                 raise ParseError(lineno, "duplicate vertex id")

@@ -131,6 +131,25 @@ def test_budget_hint_is_for_check_only(tmp_path):
     assert "--method" not in err
 
 
+def test_budget_hint_is_for_lift_families(tmp_path):
+    # the lift route decides cone and cylinder only, so a Ross graph over
+    # the budget gets no hint to take it
+    ring = ColoredGraph(GroupSpec.parse("Z^2"), list(range(26)),
+                        [(i, i, (i + 1) % 26, (i, 1)) for i in range(26)])
+    f = write_graph(tmp_path / "ring.txt", ring)
+    code, out, err = run_cli(["check", f, "--family", "ross"])
+    assert (code, out) == (3, "")
+    assert err == "error: 26 edges exceeds the enumeration budget of 24\n"
+
+
+def test_huge_vertex_count_is_a_parse_error(tmp_path):
+    f = tmp_path / "huge.txt"
+    f.write_text("group Z/3\nvertices 1000000000\n")
+    code, out, err = run_cli(["check", f, "--family", "cone"])
+    assert (code, out) == (2, "")
+    assert "line 2" in err and "vertices" in err
+
+
 def test_deconstruct_disconnected_input_is_a_usage_error(tmp_path):
     f = write_graph(tmp_path / "two.txt", ColoredGraph(
         GroupSpec.parse("Z^2"), [0, 1, 2, 3],

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from gainsparse import (
     spanning_forest,
     subgraph_counts,
 )
+from gainsparse.graphs import MAX_VERTICES
 
 Z = GroupSpec.parse("Z")
 Z3 = GroupSpec.parse("Z/3")
@@ -262,6 +264,29 @@ def test_parse_is_linear_in_the_edge_count():
         g = parse_colored_graph("group Z/3\n" + header + edges)
         assert time.perf_counter() - t0 < 2.0
         assert (g.n, g.m) == (n, 2 * n - 4)
+
+
+def test_vertex_count_is_capped_before_allocation():
+    # one header line must not force a 10^9-entry vertex map
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        for count in ("1000000000", "9" * 5000, str(MAX_VERTICES + 1)):
+            with pytest.raises(ParseError) as ei:
+                parse_colored_graph("group Z/3\nvertices %s\n" % count)
+            assert ei.value.lineno == 2
+            assert "more than %d vertices" % MAX_VERTICES in str(ei.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+    assert parse_colored_graph("group Z/3\nvertices %d\n"
+                               % MAX_VERTICES).n == MAX_VERTICES
+    ids = " ".join(map(str, range(MAX_VERTICES + 1)))
+    with pytest.raises(ParseError) as ei:
+        parse_colored_graph("group Z/3\nvertexids %s\n" % ids)
+    assert ei.value.lineno == 2
 
 
 def test_flip_normalization():

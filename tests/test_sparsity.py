@@ -278,22 +278,162 @@ def test_tighter_count_implies_looser_count(seed):
         assert check_colored_sparsity(g, "cone").sparse
 
 
+def _assert_minimal_violation(g, family, witness):
+    # the witness breaks the count, by the oracle's own counts, and
+    # dropping any one of its edges restores it
+    group = describe_group(g.spec)
+    raw = {e.id: (e.tail, e.head, tuple(e.color.coords)) for e in g.edges}
+    chosen = [raw[i] for i in witness]
+    n, r, c0, c1, c2 = colored_subset_counts(group, chosen)
+    assert len(chosen) > family_bound(family, n, r, c0, c1, c2)
+    for drop in witness:
+        rest = [raw[i] for i in witness if i != drop]
+        if not rest:
+            continue
+        n, r, c0, c1, c2 = colored_subset_counts(group, rest)
+        assert len(rest) <= family_bound(family, n, r, c0, c1, c2)
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=10**6))
 def test_witness_is_minimal(fi, seed):
     family, spec = _FAMILY_SPECS[fi]
     g = _random_colored(random.Random(seed), spec)
     v = check_colored_sparsity(g, family)
-    if v.sparse:
-        return
-    group = describe_group(spec)
-    raw = {e.id: (e.tail, e.head, tuple(e.color.coords)) for e in g.edges}
-    chosen = [raw[i] for i in v.witness]
-    n, r, c0, c1, c2 = colored_subset_counts(group, chosen)
-    assert len(chosen) > family_bound(family, n, r, c0, c1, c2)
-    for drop in v.witness:
-        rest = [raw[i] for i in v.witness if i != drop]
-        if not rest:
-            continue
-        n, r, c0, c1, c2 = colored_subset_counts(group, rest)
-        assert len(rest) <= family_bound(family, n, r, c0, c1, c2)
+    if not v.sparse:
+        _assert_minimal_violation(g, family, v.witness)
+
+
+# The enumeration adds colours as ints (see sparsity._int_colors): Z^2
+# packed as a + K*b and Z/p x Z/q by the Chinese remainder theorem.
+# These cases hold cycle sums that a wrong encoding would read as zero,
+# or read as zero when they are not.
+
+def _assert_matches_oracle(g, family):
+    v = check_colored_sparsity(g, family)
+    assert (v.sparse, v.tight) == colored_verdict(g, family)
+    if not v.sparse:
+        _assert_minimal_violation(g, family, v.witness)
+    return v
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize("family", ["ross", "colored"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_huge_lattice_colors_do_not_alias(family, sign):
+    # the digon's cycle sum is (A, -1) with A the sum of |first
+    # coordinate|, so a packing base K <= A would map it to a + K*b = 0
+    # (it aliases (0, 0) with (0 + K, 0 - 1)) and call the digon balanced
+    a = sign * BIG
+    digon = [(0, 0, 1, (a, 0)), (1, 0, 1, (0, 1))]
+    v = _assert_matches_oracle(ColoredGraph(Z2, [0, 1], digon), family)
+    assert v.sparse
+    # a third edge closing a cycle of sum (A, -1) again, or its negation
+    for c in ((0, 0), (a, -1), (-a, 1), (2 * a, -2), (a, 0)):
+        g = ColoredGraph(Z2, [0, 1, 2],
+                         digon + [(2, 1, 2, (0, 0)), (3, 0, 2, c)])
+        _assert_matches_oracle(g, family)
+    # the cycle 2 -> 1 -> 2 sums to (2A, 4), the whole sum of |first
+    # coordinate|; with K = 4A it would read back as (-2A, 5)
+    g = ColoredGraph(Z2, [0, 1, 2], [(0, 2, 1, (a, 2)), (1, 0, 2, (0, -1)),
+                                     (2, 1, 2, (a, 2)), (3, 2, 1, (0, 0))])
+    _assert_matches_oracle(g, family)
+    # loops whose colours are parallel or not, with huge first coordinates
+    for c1 in ((a, 1), (-a, -1), (2 * a, 2), (a, 2), (a + 1, 1)):
+        g = ColoredGraph(Z2, [0], [(0, 0, 0, (a, 1)), (1, 0, 0, c1)])
+        _assert_matches_oracle(g, family)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([("ross", Z2), ("colored", Z2), ("cylinder", Z)]),
+       st.integers(min_value=0, max_value=10**6))
+def test_huge_mixed_sign_colors_match_oracle(case, seed):
+    # colours drawn from sums and differences of two huge values, so
+    # cycle sums cancel exactly or miss zero by one
+    family, spec = case
+    rng = random.Random(seed)
+    pool = [0, 1, -1, BIG, -BIG, 3 * BIG + 1, -(3 * BIG + 1),
+            2 * BIG + 1, -(2 * BIG + 1), 4 * BIG + 2]
+    n = rng.randint(1, 4)
+    edges = [(i, rng.randrange(n), rng.randrange(n),
+              tuple(rng.choice(pool) for _ in range(spec.ncoords)))
+             for i in range(rng.randint(1, 6))]
+    _assert_matches_oracle(ColoredGraph(spec, range(n), edges), family)
+
+
+@pytest.mark.parametrize("x", range(3))
+@pytest.mark.parametrize("y", range(5))
+def test_product_group_cycle_sums(x, y):
+    # 4 edges on 3 vertices break the Ross count exactly when every
+    # cycle is balanced.  The chord 0 -> 2 balances the cycle through
+    # 0 -> 1 -> 2, so the verdict turns on the triangle's cycle sum.
+    # First that sum is (x, 0) + (0, y), zero only at x = y = 0.
+    tri = [(0, 0, 1, (x, 0)), (1, 1, 2, (0, y)), (2, 2, 0, (0, 0))]
+    g = ColoredGraph(Z3x5, [0, 1, 2], tri + [(3, 0, 2, (x, y))])
+    v = _assert_matches_oracle(g, "ross")
+    assert v.sparse == (x != 0 or y != 0)
+    # then three equal colours, summing to (0, 3y) through wrap-around
+    tri = [(0, 0, 1, (x, y)), (1, 1, 2, (x, y)), (2, 2, 0, (x, y))]
+    g = ColoredGraph(Z3x5, [0, 1, 2],
+                     tri + [(3, 0, 2, (2 * x % 3, 2 * y % 5))])
+    v = _assert_matches_oracle(g, "ross")
+    assert v.sparse == (y != 0)
+
+
+# Exact witnesses of fixed graphs.  Each graph holds more than one
+# violation, so the witness depends on the order in which the
+# enumeration meets subgraphs; a change of that order fails here.
+GOLDEN_WITNESSES = [
+    ("ross", Z2, 6,
+     [(0, 1, 5, (0, -1)), (1, 2, 3, (0, 2)), (2, 0, 5, (2, 0)),
+      (3, 5, 2, (2, -2)), (4, 2, 0, (2, -2)), (5, 0, 5, (1, 0)),
+      (6, 5, 0, (0, 1)), (7, 0, 0, (-1, 0)), (8, 0, 1, (0, -1)),
+      (9, 4, 0, (1, 0)), (10, 0, 2, (-1, 2)), (11, 0, 5, (-1, 2))],
+     "VIOLATION 3 4 5 7 10"),
+    ("ross", Z3x5, 5,
+     [(0, 0, 2, (2, 3)), (1, 3, 2, (1, 2)), (2, 4, 1, (2, 1)),
+      (3, 2, 1, (0, 4)), (4, 2, 4, (2, 4)), (5, 1, 2, (0, 0)),
+      (6, 2, 3, (2, 0)), (7, 2, 3, (1, 4)), (8, 1, 4, (1, 3)),
+      (9, 4, 2, (0, 4)), (10, 0, 0, (2, 3)), (11, 0, 4, (1, 2)),
+      (12, 1, 2, (2, 0))],
+     "VIOLATION 2 3 4 5 6 7 8"),
+    ("cone", Z5, 5,
+     [(0, 3, 4, (4,)), (1, 1, 1, (4,)), (2, 3, 4, (1,)), (3, 0, 3, (2,)),
+      (4, 1, 0, (4,)), (5, 0, 4, (3,)), (6, 3, 4, (1,)), (7, 4, 0, (4,)),
+      (8, 0, 0, (0,)), (9, 1, 1, (4,)), (10, 0, 3, (2,)),
+      (11, 3, 4, (1,)), (12, 4, 1, (2,))],
+     "VIOLATION 2 3 5 8"),
+    ("cylinder", Z, 5,
+     [(0, 0, 2, (2,)), (1, 3, 3, (0,)), (2, 3, 2, (2,)), (3, 1, 4, (-1,)),
+      (4, 2, 1, (-2,)), (5, 4, 2, (2,)), (6, 4, 1, (0,)), (7, 0, 0, (0,)),
+      (8, 3, 4, (-2,)), (9, 2, 3, (0,)), (10, 4, 1, (2,)),
+      (11, 3, 3, (2,)), (12, 2, 0, (2,))],
+     "VIOLATION 2 3 4 5 6 8 10 11"),
+    # two disjoint tight rank-1 pieces
+    ("cylinder", Z, 5,
+     [(0, 0, 2, (-1,)), (1, 2, 2, (2,)), (2, 1, 4, (-2,)), (3, 4, 1, (1,)),
+      (4, 3, 4, (0,)), (5, 4, 3, (2,)), (6, 2, 0, (-2,)), (7, 2, 3, (0,)),
+      (8, 3, 3, (2,))],
+     "VIOLATION 0 1 2 3 4 5 6 8"),
+    ("colored", Z2, 4,
+     [(0, 0, 2, (-1, -2)), (1, 0, 3, (0, -2)), (2, 0, 1, (0, -2)),
+      (3, 3, 3, (2, -1)), (4, 3, 3, (-1, 1)), (5, 1, 2, (2, 1)),
+      (6, 2, 1, (-2, 2)), (7, 1, 1, (-1, 0)), (8, 0, 0, (-1, 1)),
+      (9, 1, 2, (-2, 1)), (10, 1, 2, (-2, -1)), (11, 2, 2, (2, -1))],
+     "VIOLATION 4 5 6 7 8 9"),
+    # two disjoint pieces whose images are parallel
+    ("colored", Z2, 4,
+     [(0, 0, 1, (-1, -1)), (1, 1, 1, (1, -2)), (2, 1, 2, (1, -2)),
+      (3, 1, 0, (2, 2)), (4, 0, 0, (0, -2)), (5, 2, 0, (-1, 2)),
+      (6, 1, 1, (-2, -2)), (7, 3, 3, (1, -1)), (8, 3, 3, (-1, 0)),
+      (9, 3, 1, (0, -2)), (10, 1, 2, (1, -2)), (11, 2, 0, (-2, -2))],
+     "VIOLATION 1 6 7 8"),
+]
+
+
+@pytest.mark.parametrize("family, spec, n, edges, line", GOLDEN_WITNESSES)
+def test_golden_witnesses(family, spec, n, edges, line):
+    g = ColoredGraph(spec, range(n), edges)
+    assert verdict_line(check_colored_sparsity(g, family)) == line

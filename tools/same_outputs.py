@@ -1,9 +1,11 @@
 """Do two source trees give byte-identical benchmark outputs?
 
     python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE --seeds 1 [2 ...]
+        [--workload NAME ...]
 
 Each tree is a checkout root holding src/gainsparse.  For every seed and
-every workload of perfbench/gen.py the plan is built once, here, with
+every workload of perfbench/gen.py (or only each one named with
+--workload, which repeats) the plan is built once, here, with
 this checkout's perfbench.  Each tree then runs every warm-up and timed
 item of the plan once, in a subprocess of its own that imports
 gainsparse from that tree (perfbench/worker.import_package) and calls
@@ -55,11 +57,11 @@ def _run_tree(tree, plan_path, out_path):
         return json.load(fh)
 
 
-def compare(parent, change, seeds, work):
+def compare(parent, change, seeds, work, workloads):
     """(calls compared, labels of the items that differ)."""
     calls, differ = 0, []
     for seed in seeds:
-        for workload in gen.WORKLOADS:
+        for workload in workloads:
             wdir = os.path.join(work, "%s-%d" % (workload, seed))
             plan = gen.build(workload, seed, wdir)
             items = plan["warmup"] + plan["items"]
@@ -89,10 +91,14 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--workload", action="append", choices=gen.WORKLOADS,
+                    help="compare only this workload; repeat for more "
+                         "(default: all)")
     args = ap.parse_args(argv)
     trees = [os.path.abspath(t) for t in (args.parent, args.change)]
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
-        calls, differ = compare(trees[0], trees[1], args.seeds, work)
+        calls, differ = compare(trees[0], trees[1], args.seeds, work,
+                                args.workload or gen.WORKLOADS)
     for line in differ:
         print("DIFFERS %s" % line)
     print("%d calls compared, %d differ" % (calls, len(differ)))
