@@ -15,10 +15,10 @@ import sys
 from .errors import (UsageError, ParseError, CertificateError,
                      BudgetExceededError)
 from .graphs import parse_colored_graph
-from .sparsity import CONE, CYLINDER, FAMILIES, DEFAULT_BUDGET, verdict_line
+from .sparsity import FAMILIES, DEFAULT_BUDGET, verdict_line
 from .lifts import build_lift, colored_graph_to_dot, lift_to_dot, lift_to_text
-from .henneberg import (CONSTRUCTIBLE, check, random_construct, deconstruct,
-                        verify_certificate, parse_certificate,
+from .henneberg import (CONSTRUCTIBLE, check, lift_applies, random_construct,
+                        deconstruct, verify_certificate, parse_certificate,
                         serialize_certificate)
 # Unused here: perfbench/spans.py patches these names on this module by
 # name, and fails if they are missing.
@@ -57,7 +57,14 @@ def _cmd_check(args):
         inputs = [("", args.file)]
     status = 0
     for prefix, path in inputs:
-        v = check(_load_graph(path), args.family, args.method, args.budget)
+        g = _load_graph(path)
+        try:
+            v = check(g, args.family, args.method, args.budget)
+        except BudgetExceededError as exc:
+            if lift_applies(g, args.family):
+                raise BudgetExceededError(
+                    "%s (try --method lift)" % exc) from None
+            raise
         print(prefix + verdict_line(v))
         if not v.sparse:
             status = 1
@@ -158,10 +165,7 @@ def main(argv=None):
     try:
         return args.run(args)
     except BudgetExceededError as exc:
-        # only check has another engine, and only for these families
-        lift = args.command == "check" and args.family in (CONE, CYLINDER)
-        hint = " (try --method lift)" if lift else ""
-        print("error: %s%s" % (exc, hint), file=sys.stderr)
+        print("error: %s" % exc, file=sys.stderr)
         return 3
     except (ParseError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -22,15 +22,49 @@ FREE2 = "Z^2"
 CYCLIC_PQ = "Z/pxZ/q"
 
 
+# the first 12 primes: the least strong pseudoprime to all of them is
+# 318665857834031151167461 (Sorenson and Webster, Math. Comp. 2017), far
+# above MAX_MODULUS
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# cyclic moduli must stay below 2^64, so that primality is decided exactly
+MAX_MODULUS = 1 << 64
+
+
 def _is_prime(n):
+    """Miller-Rabin on _MR_BASES: exact for n below 3.18 * 10^23, so for
+    every modulus a GroupSpec takes, and O(log n) multiplications
+    whatever n is.
+
+    >>> [k for k in range(30) if _is_prime(k)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _check_modulus(k):
+    if k >= MAX_MODULUS:
+        raise UsageError("moduli must be below 2^64, got %d digits"
+                         % len(str(k)))
 
 
 class GroupSpec:
@@ -53,10 +87,13 @@ class GroupSpec:
         if variant == CYCLIC:
             if len(self.moduli) != 1 or self.moduli[0] < 2:
                 raise UsageError("Z/k needs a single modulus k >= 2")
+            _check_modulus(self.moduli[0])
         elif variant == CYCLIC_PQ:
             if len(self.moduli) != 2:
                 raise UsageError("Z/pxZ/q needs two moduli")
             p, q = self.moduli
+            _check_modulus(p)
+            _check_modulus(q)
             # distinct odd primes is a standing assumption of the product
             # family; checked here so nothing downstream has to
             if p == q or p == 2 or q == 2 or not (_is_prime(p) and _is_prime(q)):

@@ -187,6 +187,29 @@ def _lift_failure(g, family):
     return None, None
 
 
+def _lift_refusal(g, family):
+    """The error method="lift" raises on g, or None when it takes g."""
+    if family not in (CONE, CYLINDER):
+        return UsageError(
+            "method=lift supports families cone and cylinder, not %s" % family)
+    if family == CONE and not odd_prime_cyclic(g.spec):
+        return UsageError(
+            "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
+    if family == CYLINDER and g.spec.variant != G.FREE1:
+        return UsageError("family cylinder expects Z colors, got %s" % g.spec)
+    if family == CYLINDER and g.m != 2 * g.n - 1:
+        return PreconditionError(
+            "method=lift decides tightness and needs m = 2n - 1; "
+            "got n=%d m=%d (use --method brute)" % (g.n, g.m))
+    return None
+
+
+def lift_applies(g, family):
+    """Does check(g, family, method="lift") take g?  Cone over Z/p for an
+    odd prime p, or cylinder over Z with m = 2n - 1."""
+    return _lift_refusal(g, family) is None
+
+
 def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     """Verdict for g in family.  method="brute" enumerates subgraphs,
     refusing graphs above `budget` edges; method="lift" takes the
@@ -203,18 +226,9 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
         return check_colored_sparsity(g, family, budget=budget)
     if method != "lift":
         raise UsageError("method is brute or lift, not %r" % (method,))
-    if family not in (CONE, CYLINDER):
-        raise UsageError(
-            "method=lift supports families cone and cylinder, not %s" % family)
-    if family == CONE and not odd_prime_cyclic(g.spec):
-        raise UsageError(
-            "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
-    if family == CYLINDER and g.spec.variant != G.FREE1:
-        raise UsageError("family cylinder expects Z colors, got %s" % g.spec)
-    if family == CYLINDER and g.m != 2 * g.n - 1:
-        raise PreconditionError(
-            "method=lift decides tightness and needs m = 2n - 1; "
-            "got n=%d m=%d (use --method brute)" % (g.n, g.m))
+    refusal = _lift_refusal(g, family)
+    if refusal is not None:
+        raise refusal
     failed, rejection = _lift_failure(g, family)
     if failed is None:
         return Verdict(True, True, None)

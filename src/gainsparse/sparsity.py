@@ -25,11 +25,21 @@ cylinder and colored counts can be broken by a disjoint union whose
 parts are all fine.  The walk is one integer kernel: every colour is
 one int whose + is the group law (_int_colors), and each piece's slack
 and image rank are arguments of the recursion, so a step costs a few
-int operations and at most one call.  On the 111 brute-small inputs of
-benchmark seed 1 the walk meets 8.8 million connected subsets, about
-0.55 us each (Python 3.11, shared 2-vCPU machine); the benchmark runs
-that workload at 29.8 items/s, and tier-1 criterion 4 (a brute-force
-check of 14,988 certificate prefixes) takes 43 s.
+int operations and at most one call.  It walks only the balanced
+(rank 0) pieces when two pebble games on the underlying graph prove
+that no unbalanced one can matter: every count gives an unbalanced
+piece a looser bound (2n' - 2 for Ross, at least 2n' - 1 for the
+rest) than the Laman bound 2n' - 3 of a balanced one, so none breaks
+the count on a (2,2)-sparse graph (Ross) or a (2,1)-sparse one (the
+rest).  For cylinder and colored the (2,2) game must also reject at
+most one edge, so that no two disjoint unbalanced pieces can break it
+together; _search_violation has the proof.  On the 111 brute-small
+inputs of benchmark seed 1 the walk meets 3.3 million connected
+subsets, where it met 8.8 million without that gate; the benchmark
+runs that workload at 72 items/s against 30 before, and tier-1
+criteria 4 and 5 (brute-force checks of 14,988 certificate prefixes,
+and the deconstruction round trip) take 19 s and 29 s against 41 s
+and 55 s (Python 3.11, shared 2-vCPU machine).
 """
 
 from collections import namedtuple
@@ -435,6 +445,33 @@ def _search_violation(g, family):
     rank 2, by a cross product with the piece's first nonzero image
     (its pivot); the other groups have rank at most 1, or (Ross) only
     rank zero matters.
+
+    Before the walk, (2,l) pebble games on the underlying graph decide
+    `flat`, which holds when no piece of rank r >= 1 can matter:
+
+        Ross               the graph is (2,2)-sparse
+        cone               the graph is (2,1)-sparse
+        cylinder, colored  (2,1)-sparse, and the (2,2) game rejects at
+                           most one edge
+
+    When it holds, the walk skips every rank >= 1 piece with its whole
+    subtree: an anchor that is a nonzero loop, and a cycle edge whose
+    image raises r to 1.  Proof.  Rank never falls as a piece grows, so
+    every piece below a skipped one has rank >= 1 too.  Every count
+    gives a balanced connected piece 2n' - 3 and an unbalanced one
+    2n' - 2 (Ross) or at least 2n' - 1 (the rest), so a rank >= 1 piece
+    that breaks its count alone is (2,2)-dependent for Ross and
+    (2,1)-dependent for the others.  A piece that keep_piece stores to
+    pair up (cylinder, colored) has m' >= 2n' - 1 while a (2,2)-sparse
+    edge set on its n' vertices has at most 2n' - 2 edges, so its
+    (2,2)-nullity is at least 1.  The (2,2) rank is submodular, so the
+    nullity of two disjoint edge sets together is at least the sum of
+    theirs, and a superset's is at least a subset's: two vertex-disjoint
+    stored pieces would make the game reject two edges.  The gate reads
+    the whole graph, not the anchor's suffix of edges, because a piece
+    stored at one anchor can pair with one found at a later anchor.  The
+    walk order is unchanged, so the first violation met, and every
+    witness, is the ungated walk's.
     """
     edges = sorted(g.edges)
     m = len(edges)
@@ -458,6 +495,17 @@ def _search_violation(g, family):
     ec, zmod, kk = _int_colors(g.spec, edges)
     half = kk // 2
     vidx = g._pos
+
+    def rejects(l):   # edges the (2,l) game rejects on the underlying graph
+        arcs = ((i, vidx[e.tail], vidx[e.head]) for i, e in enumerate(edges))
+        return len(_play(len(vidx), 2, l, arcs)[2])
+
+    # flat: no piece of rank >= 1 can matter, so the walk skips them all
+    if family == ROSS:
+        flat = rejects(2) == 0
+    else:
+        flat = rejects(1) == 0 and (family == CONE or rejects(2) <= 1)
+
     ends = {}   # edge bit -> (tail vertex bit, head vertex bit, int colour)
     inc = {}    # vertex bit -> bits of its edges
     for i, e in enumerate(edges):
@@ -509,6 +557,8 @@ def _search_violation(g, family):
                         elif (pivot * ((x + half) // kk)
                               - x * ((pivot + half) // kk)):
                             s, r2 = slack + up2, 2
+                if r2 and flat:
+                    continue
                 if s < keep[r2]:
                     keep_piece(sub, vmask, s, r2, p2)
                 nxt = incmask & ~(sub | ban)
@@ -536,6 +586,8 @@ def _search_violation(g, family):
             pot[ub] = 0
             if ub == vb:    # one vertex, one edge, the loop's image
                 r = 1 if c % zmod else 0
+                if r and flat:
+                    continue
                 s = 1 - off[r]
             else:           # two vertices, one edge
                 pot[vb] = c

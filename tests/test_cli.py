@@ -10,6 +10,7 @@ import io
 import random
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -107,16 +108,35 @@ def test_lift_method_rejects_ross(tmp_path):
     assert "method=lift" in err
 
 
-def _long_cycle(n=26):
+def _long_cycle(n=26, spec=Z):
     edges = [(i, i, (i + 1) % n, (0,)) for i in range(n)]
-    return ColoredGraph(Z, list(range(n)), edges)
+    return ColoredGraph(spec, list(range(n)), edges)
 
 
 def test_budget_exceeded(tmp_path):
+    # m = n, so the lift route would refuse the ring and no hint is offered
     f = write_graph(tmp_path / "ring.txt", _long_cycle())
     code, _, err = run_cli(["check", f, "--family", "cylinder"])
     assert code == 3
-    assert "--method lift" in err
+    assert err == "error: 26 edges exceeds the enumeration budget of 24\n"
+
+
+def test_budget_hint_needs_lift_preconditions(tmp_path):
+    # cylinder over Z with m = 2n - 1 and cone over an odd prime Z/p are
+    # what check(method="lift") takes; a cone ring over Z/2 is not
+    n = 13
+    square = ColoredGraph(Z, list(range(n)),
+                          [(i, i % n, (i + 1 + i // n) % n, (i,))
+                           for i in range(2 * n - 1)])
+    cases = [("cylinder", square, True),
+             ("cone", _long_cycle(spec=Z3), True),
+             ("cone", _long_cycle(spec=GroupSpec.parse("Z/2")), False)]
+    for family, g, hint in cases:
+        f = write_graph(tmp_path / "g.txt", g)
+        code, out, err = run_cli(["check", f, "--family", family])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: %d edges exceeds" % g.m)
+        assert ("(try --method lift)" in err) == hint
 
 
 def test_budget_hint_is_for_check_only(tmp_path):
@@ -148,6 +168,24 @@ def test_huge_vertex_count_is_a_parse_error(tmp_path):
     code, out, err = run_cli(["check", f, "--family", "cone"])
     assert (code, out) == (2, "")
     assert "line 2" in err and "vertices" in err
+
+
+def test_huge_moduli_are_decided_at_once(tmp_path):
+    # primality is Miller-Rabin, not trial division up to sqrt(k)
+    f = tmp_path / "prime.txt"
+    f.write_text("group Z/100000000000031\nvertices 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", f, "--family", "cone"])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (0, "SPARSE\n", "")
+    # a 30-digit modulus is refused while the header is parsed
+    p = 10 ** 29 + 7
+    f.write_text("group Z/%dxZ/3\nvertices 1\n" % p)
+    start = time.perf_counter()
+    code, out, err = run_cli(["check", f, "--family", "ross"])
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert "below 2^64" in err
 
 
 def test_deconstruct_disconnected_input_is_a_usage_error(tmp_path):

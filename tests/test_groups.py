@@ -11,6 +11,7 @@ from gainsparse import (
     parse_elem,
     rank_of_span,
 )
+from gainsparse.groups import _is_prime
 from oracles import describe_group, span_rank
 
 Z = GroupSpec.parse("Z")
@@ -28,6 +29,27 @@ def test_parse_round_trips_the_four_syntaxes():
 def test_parse_rejects_garbage():
     for text in ("", "Z/", "Z/4x", "Z^3", "Z/3xZ", "q", "z", "Z/1", "Z/0"):
         with pytest.raises(UsageError):
+            GroupSpec.parse(text)
+
+
+def _trial_division(k):
+    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [k for k in range(1, 10 ** 5 + 1) if _is_prime(k)] == \
+        [k for k in range(1, 10 ** 5 + 1) if _trial_division(k)]
+    # strong pseudoprimes to the first four and the first seven prime bases
+    assert not _is_prime(3215031751)
+    assert not _is_prime(341550071728321)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 64 - 59)
+
+
+def test_moduli_are_capped_below_2_to_the_64():
+    assert GroupSpec.cyclic(2 ** 64 - 59).order == 2 ** 64 - 59
+    for text in ("Z/%d" % 2 ** 64, "Z/3xZ/%d" % (10 ** 29 + 7),
+                 "Z/%dxZ/3" % (2 ** 89 - 1)):
+        with pytest.raises(UsageError, match="below 2\\^64"):
             GroupSpec.parse(text)
 
 

@@ -437,3 +437,66 @@ GOLDEN_WITNESSES = [
 def test_golden_witnesses(family, spec, n, edges, line):
     g = ColoredGraph(spec, range(n), edges)
     assert verdict_line(check_colored_sparsity(g, family)) == line
+
+
+# The walk skips every piece of image rank >= 1 when the underlying
+# graph's (2,1) and (2,2) games show that none can break the count,
+# alone or (cylinder, colored) paired with a disjoint one.  Verdict lines
+# as the ungated walk gave them; gate is whether the skip is on.
+_TWIN_TRIPLES = [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2),
+                 (3, 2, 3, 0), (4, 2, 3, 1), (5, 2, 3, 2)]
+_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+RANK_GATE_CASES = [
+    # two disjoint (2,2)-circuits that break the count only together; a
+    # gate read off the anchor's suffix of edges would miss the pair
+    ("cylinder", Z, 4, [(i, u, v, (c,)) for i, u, v, c in _TWIN_TRIPLES],
+     False, "VIOLATION 0 1 2 3 4 5"),
+    ("colored", Z2, 4, [(i, u, v, (c, 0)) for i, u, v, c in _TWIN_TRIPLES],
+     False, "VIOLATION 0 1 2 3 4 5"),
+    # tight, with one (2,2)-circuit (the loop)
+    ("cylinder", Z, 3, [(0, 0, 0, (1,)), (1, 0, 1, (0,)), (2, 0, 1, (1,)),
+                        (3, 1, 2, (0,)), (4, 2, 1, (1,))],
+     True, "TIGHT"),
+    ("colored", Z2, 3, [(0, 0, 0, (1, 0)), (1, 0, 1, (0, 0)),
+                        (2, 0, 1, (0, 1)), (3, 1, 2, (0, 0)),
+                        (4, 2, 1, (1, 1))],
+     True, "SPARSE"),
+    # unbalanced pieces that break the count alone
+    ("cone", Z5, 2, [(i, 0, 1, (i,)) for i in range(4)],
+     False, "VIOLATION 0 1 2 3"),
+    ("ross", Z2, 2, [(0, 0, 1, (0, 0)), (1, 0, 1, (1, 0)), (2, 1, 0, (0, 1))],
+     False, "VIOLATION 0 1 2"),
+    # gate on: only the balanced pieces are walked
+    ("ross", Z2, 4, [(i, u, v, (0, 0)) for i, (u, v) in enumerate(_K4)],
+     True, "VIOLATION 0 1 2 3 4 5"),
+    ("ross", Z2, 2, [(0, 0, 1, (0, 0)), (1, 0, 1, (1, 0))], True, "TIGHT"),
+]
+
+
+@pytest.mark.parametrize("family, spec, n, edges, gate, line",
+                         RANK_GATE_CASES)
+def test_rank_gate_fixed_cases(family, spec, n, edges, gate, line):
+    g = ColoredGraph(spec, range(n), edges)
+    u = underlying(g)
+    null22 = g.m - len(kl_basis(u, P22))
+    if family == "ross":
+        assert gate == (null22 == 0)
+    else:
+        assert gate == (is_kl_sparse(u, P21)
+                        and (family == "cone" or null22 <= 1))
+    assert verdict_line(_assert_matches_oracle(g, family)) == line
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=5),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10**6))
+def test_near_bound_graphs_match_oracle(fi, n, seed):
+    # m from 2n - 3 to 2n + 1, where the gate turns on and off
+    family, spec = _FAMILY_SPECS[fi]
+    rng = random.Random(seed)
+    m = rng.randint(max(2 * n - 3, 1), min(2 * n + 1, 11))
+    edges = [(i, rng.randrange(n), rng.randrange(n),
+              tuple(rng.randint(-2, 2) for _ in range(spec.ncoords)))
+             for i in range(m)]
+    _assert_matches_oracle(ColoredGraph(spec, range(n), edges), family)
