@@ -49,7 +49,7 @@ from .lifts import (lift_rejection, path_color_sum, reduce_colors,
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
                        check_colored_sparsity, family_bound, graph_counts,
-                       is_kl_spanning, underlying, _subset_violates)
+                       is_kl_spanning, underlying, _minimize_witness)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -197,7 +197,7 @@ def _lift_refusal(g, family):
             "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
     if family == CYLINDER and g.spec.variant != G.FREE1:
         return UsageError("family cylinder expects Z colors, got %s" % g.spec)
-    if family == CYLINDER and g.m != 2 * g.n - 1:
+    if g.m != 2 * g.n - 1:
         return PreconditionError(
             "method=lift decides tightness and needs m = 2n - 1; "
             "got n=%d m=%d (use --method brute)" % (g.n, g.m))
@@ -205,8 +205,7 @@ def _lift_refusal(g, family):
 
 
 def lift_applies(g, family):
-    """Does check(g, family, method="lift") take g?  Cone over Z/p for an
-    odd prime p, or cylinder over Z with m = 2n - 1."""
+    """Does check(g, family, method="lift") take g?"""
     return _lift_refusal(g, family) is None
 
 
@@ -214,8 +213,8 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     """Verdict for g in family.  method="brute" enumerates subgraphs,
     refusing graphs above `budget` edges; method="lift" takes the
     polynomial lift route, for cone graphs over Z/p (p an odd prime) and
-    cylinder graphs over Z with m = 2n - 1, where sparse means tight.
-    The witness of a violation comes from the lift when it fails.
+    cylinder graphs over Z, both with m = 2n - 1, where sparse means
+    tight.  Each engine's witness is minimised against g's own count.
 
     >>> z5 = G.GroupSpec.cyclic(5)
     >>> g = ColoredGraph(z5, [0], [(0, 0, 0, 2)])
@@ -232,13 +231,9 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     failed, rejection = _lift_failure(g, family)
     if failed is None:
         return Verdict(True, True, None)
-    if failed == "spanning":
-        return Verdict(False, False, disjoint_circuit_witness(g))
-    witness = lift_witness(rejection)
-    if family == CYLINDER and not _subset_violates(g, CYLINDER, witness):
-        raise InternalInvariantError(
-            "reduced witness does not break the cylinder count")
-    return Verdict(False, False, witness)
+    found = (disjoint_circuit_witness(g) if failed == "spanning"
+             else lift_witness(rejection))
+    return Verdict(False, False, _minimize_witness(g, family, found))
 
 
 def tight_in_family(g, family):
@@ -600,12 +595,7 @@ def random_construct(family, steps, seed, group=None):
 
 
 def _move_line(mv):
-    if mv.kind == "h1c":
-        return "h1c n=%d a=%d b=%d ca=%s cb=%s" % (mv.n, mv.a, mv.b, mv.ca, mv.cb)
-    if mv.kind == "h1cp":
-        return "h1cp n=%d a=%d ca=%s loop=%s" % (mv.n, mv.a, mv.ca, mv.loop)
-    return "h2c n=%d split=%d can=%s cbn=%s c=%d ccn=%s" % (
-        mv.n, mv.split, mv.can, mv.cbn, mv.c, mv.ccn)
+    return " ".join([mv.kind] + ["%s=%s" % kv for kv in zip(mv._fields, mv)])
 
 
 def serialize_certificate(cert):
@@ -616,11 +606,7 @@ def serialize_certificate(cert):
     return "\n".join(out) + "\n"
 
 
-_MOVE_FIELDS = {
-    "h1c": ("n", "a", "b", "ca", "cb"),
-    "h1cp": ("n", "a", "ca", "loop"),
-    "h2c": ("n", "split", "can", "cbn", "c", "ccn"),
-}
+_MOVES = {cls.kind: cls for cls in (H1c, H1cPrime, H2c)}
 
 _COLOR_FIELDS = ("ca", "cb", "ccn", "can", "cbn", "loop")
 
@@ -628,7 +614,7 @@ _COLOR_FIELDS = ("ca", "cb", "ccn", "can", "cbn", "loop")
 def _parse_move(line, lineno, spec):
     parts = line.split()
     kind = parts[0]
-    if kind not in _MOVE_FIELDS:
+    if kind not in _MOVES:
         raise ParseError(lineno, "unknown move %r" % kind)
     fields = {}
     for tok in parts[1:]:
@@ -638,7 +624,7 @@ def _parse_move(line, lineno, spec):
         if key in fields:
             raise ParseError(lineno, "duplicate field %r" % key)
         fields[key] = val
-    want = _MOVE_FIELDS[kind]
+    want = _MOVES[kind]._fields
     if set(fields) != set(want):
         raise ParseError(
             lineno, "%s takes fields %s" % (kind, " ".join(want)))
@@ -654,8 +640,7 @@ def _parse_move(line, lineno, spec):
                 args.append(int(fields[key]))
             except ValueError:
                 raise ParseError(lineno, "bad integer %r" % fields[key])
-    cls = {"h1c": H1c, "h1cp": H1cPrime, "h2c": H2c}[kind]
-    return cls(*args)
+    return _MOVES[kind](*args)
 
 
 def parse_certificate(text):

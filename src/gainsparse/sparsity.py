@@ -237,7 +237,7 @@ def kl_basis(g, params, order=None):
 def is_kl_sparse(g, params):
     """True iff every edge of g fits, i.e. all subgraphs have m' <= kn' - l."""
     k, l = _check_params(params)
-    return not _dependent(g, k, l, None)
+    return not _run_game(g, k, l, stop_on_reject=True)[2]
 
 
 def is_kl_spanning(g, params):
@@ -288,29 +288,6 @@ def fundamental_circuit(g, params, basis, eid):
     return frozenset(inside + [eid])
 
 
-def _dependent(g, k, l, edge_ids):
-    """Does the pebble game reject some edge of edge_ids (in that order,
-    or all of g's in id order for None)?"""
-    return bool(_run_game(g, k, l, edge_ids, stop_on_reject=True)[2])
-
-
-def _shrink(g, k, l, groups):
-    """Indices of a minimal (k,l)-dependent union of edge groups, for
-    groups that are dependent as a whole.
-
-    One ascending pass drops each group while the rest stays dependent.
-    Dependence is upward closed, so a group kept because the rest was
-    independent stays necessary as the set shrinks, and the pass ends at
-    a set none of whose groups can go.
-    """
-    keep = list(range(len(groups)))
-    for i in range(len(groups)):
-        rest = [j for j in keep if j != i]
-        if _dependent(g, k, l, [e for j in rest for e in groups[j]]):
-            keep = rest
-    return keep
-
-
 # --- colored recognizers -------------------------------------------------
 
 Verdict = namedtuple("Verdict", ["sparse", "tight", "witness"])
@@ -344,9 +321,13 @@ def _subset_violates(g, family, edge_ids):
 
 
 def _minimize_witness(g, family, witness):
-    """Greedily drop edges (ascending id) while the rest still violates;
-    repeat to a fixpoint so no single removal restores the bound."""
+    """Drop edges (ascending id, to a fixpoint) while the rest violates.
+    The one minimiser and guard of every engine: a witness that does not
+    break g's own count raises InternalInvariantError."""
     w = set(witness)
+    if not _subset_violates(g, family, w):
+        raise InternalInvariantError(
+            "witness %r does not break the %s count" % (sorted(w), family))
     changed = True
     while changed:
         changed = False

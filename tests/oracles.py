@@ -225,3 +225,73 @@ def colored_verdict(g, family):
     c0 += isolated
     tight = (m == family_bound(family, n, r, c0, c1, c2))
     return True, tight
+
+
+# --- the lift route's old witness shrink ----------------------------------
+
+
+def kl_independent(edges, k, l):
+    """Is the multigraph on these (u, v) edges (k,l)-sparse?  A plain
+    pebble game, written out longhand: each edge asks for l + 1 pebbles
+    on its ends, fetched by depth-first search along the arcs, and an
+    edge that cannot get them closes a set with more than k n' - l
+    edges."""
+    pebbles = {}
+    out = {}
+
+    def fetch(x, ends):
+        # move one pebble onto x from a vertex reachable from it, not an end
+        seen = {x}
+        back = {}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in out[y]:
+                if z in seen:
+                    continue
+                seen.add(z)
+                back[z] = y
+                if pebbles[z] and z not in ends:
+                    pebbles[z] -= 1
+                    pebbles[x] += 1
+                    while z != x:
+                        y = back[z]
+                        out[y].remove(z)
+                        out[z].append(y)
+                        z = y
+                    return True
+                stack.append(z)
+        return False
+
+    for u, v in edges:
+        for x in (u, v):
+            pebbles.setdefault(x, k)
+            out.setdefault(x, [])
+        ends = {u, v}
+        while sum(pebbles[x] for x in ends) < l + 1:
+            if not any(fetch(x, ends) for x in ends):
+                return False
+        tail = u if pebbles[u] else v
+        pebbles[tail] -= 1
+        out[tail].append(v if tail == u else u)
+    return True
+
+
+def lift_fiber_shrink(p, edges, candidates):
+    """The witness the lift route used to report: candidates (base edge
+    ids) shrunk to a minimal set whose Z/p cover is not (2,3)-sparse.
+    One ascending pass drops each candidate while the cover of the rest
+    stays dependent.
+
+    edges maps a base edge id to (tail, head, color); its fiber joins
+    (tail, x) to (head, color + x) for every x in Z/p."""
+    def fiber(eid):
+        u, v, c = edges[eid]
+        return [((u, x), (v, (c + x) % p)) for x in range(p)]
+
+    keep = sorted(candidates)
+    for eid in sorted(candidates):
+        rest = [e for e in keep if e != eid]
+        if not kl_independent([f for e in rest for f in fiber(e)], 2, 3):
+            keep = rest
+    return frozenset(keep)

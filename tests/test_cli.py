@@ -122,14 +122,19 @@ def test_budget_exceeded(tmp_path):
 
 
 def test_budget_hint_needs_lift_preconditions(tmp_path):
-    # cylinder over Z with m = 2n - 1 and cone over an odd prime Z/p are
-    # what check(method="lift") takes; a cone ring over Z/2 is not
+    # check(method="lift") takes cylinder over Z and cone over an odd
+    # prime Z/p, both with m = 2n - 1; rings have m = n, and Z/2 is not
+    # an odd prime
     n = 13
-    square = ColoredGraph(Z, list(range(n)),
-                          [(i, i % n, (i + 1 + i // n) % n, (i,))
-                           for i in range(2 * n - 1)])
-    cases = [("cylinder", square, True),
-             ("cone", _long_cycle(spec=Z3), True),
+
+    def square(spec, p):
+        return ColoredGraph(spec, list(range(n)),
+                            [(i, i % n, (i + 1 + i // n) % n, (i % p,))
+                             for i in range(2 * n - 1)])
+
+    cases = [("cylinder", square(Z, 2 * n), True),
+             ("cone", square(Z3, 3), True),
+             ("cone", _long_cycle(spec=Z3), False),
              ("cone", _long_cycle(spec=GroupSpec.parse("Z/2")), False)]
     for family, g, hint in cases:
         f = write_graph(tmp_path / "g.txt", g)
@@ -208,11 +213,37 @@ def test_budget_flag_raises_cap(tmp_path):
 
 
 def test_lift_method_needs_square_count(tmp_path):
-    f = write_graph(tmp_path / "ring.txt", _long_cycle())
-    code, _, err = run_cli(["check", f, "--family", "cylinder",
+    for family, spec in (("cylinder", Z), ("cone", Z3)):
+        f = write_graph(tmp_path / "ring.txt", _long_cycle(spec=spec))
+        code, _, err = run_cli(["check", f, "--family", family,
+                                "--method", "lift"])
+        assert code == 2
+        assert "needs m = 2n - 1" in err and "--method brute" in err
+
+
+def test_cover_size_is_capped(tmp_path):
+    # a Z/1000003 loop has a 2,000,006-id cover, and a Z loop coloured
+    # 10^20 reduces mod a prime above 2 * 10^20; both are refused before
+    # anything is allocated for the cover
+    huge = tmp_path / "huge.txt"
+    huge.write_text("group Z/1000003\nvertices 1\nedge 0 0 1\n")
+    wide = tmp_path / "wide.txt"
+    wide.write_text("group Z\nvertices 1\nedge 0 0 %d\n" % 10 ** 20)
+    for f, family in ((huge, "cone"), (wide, "cylinder")):
+        for argv in (["check", f, "--family", family, "--method", "lift"],
+                     ["lift", f, tmp_path / "out"],
+                     ["dot", f, tmp_path / "out.dot", "--lift"]):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv)
+            assert time.perf_counter() - start < 0.1
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+    code, _, err = run_cli(["check", huge, "--family", "cone",
                             "--method", "lift"])
-    assert code == 2
-    assert "--method brute" in err
+    assert "2000006 vertices and edges" in err and "cap of 1000000" in err
+    code, _, err = run_cli(["check", wide, "--family", "cylinder",
+                            "--method", "lift"])
+    assert "cap of 1000000" in err and "2^64" not in err
 
 
 def test_check_directory(tmp_path):

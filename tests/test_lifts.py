@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import gainsparse.lifts
 import gainsparse.sparsity
+import oracles
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
@@ -276,7 +277,12 @@ def test_pebble_search_work_is_linear_on_the_chain_lift():
 
 
 def test_passing_lift_check_builds_no_multigraph(monkeypatch):
+    # nor does a failing one: its witness is read off the stuck game
     g = _built("cone", 40, 2, Z5)
+    failing = [(family, _planted(family, 12, 2, group, how))
+               for family, group in (("cone", Z5), ("cone", Z7),
+                                     ("cylinder", None))
+               for how in ("copy", "rewire")]
     built = []
     real = UncoloredMultigraph.__init__
 
@@ -286,7 +292,50 @@ def test_passing_lift_check_builds_no_multigraph(monkeypatch):
 
     monkeypatch.setattr(UncoloredMultigraph, "__init__", counting)
     assert check(g, "cone", method="lift") == (True, True, None)
+    for family, h in failing:
+        assert not check(h, family, method="lift").sparse
     assert built == []
+
+
+def _random_lift_input(family, p, rng):
+    """A graph with m = 2n - 1 and n <= 8: random edges, or a tight
+    certificate graph with one plain edge rewired at random."""
+    n = rng.randint(1, 8)
+    spec = GroupSpec.cyclic(p) if family == "cone" else Z
+
+    def color():
+        return ((rng.randrange(p),) if family == "cone"
+                else (rng.randint(-3, 3),))
+
+    if n < 3 or rng.random() < 0.25:
+        return ColoredGraph(spec, range(n),
+                            [(i, rng.randrange(n), rng.randrange(n), color())
+                             for i in range(2 * n - 1)])
+    g = _built(family, n - 1, rng.randrange(10 ** 6), spec)
+    edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
+    i = rng.choice([i for i, e in enumerate(edges) if e[1] != e[2]])
+    edges[i] = (edges[i][0],) + tuple(rng.sample(g.vertices, 2)) + (color(),)
+    return ColoredGraph(spec, g.vertices, edges)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([("cone", 3), ("cone", 5), ("cone", 7),
+                        ("cylinder", None)]),
+       st.integers(min_value=0, max_value=10**6))
+def test_lift_witness_is_the_fiber_shrink(case, seed):
+    # the lift route reports the projection of its stuck region, minimised
+    # in the base; the old route shrank that set fiber by fiber in the lift
+    family, p = case
+    g = _random_lift_input(family, p, random.Random(seed))
+    h = g if family == "cone" else reduce_colors(g)[0]
+    rejection = gainsparse.lifts.lift_rejection(h)
+    v = check(g, family, method="lift")
+    if rejection is None:
+        return
+    edges = {e.id: (e.tail, e.head, e.color.coords[0]) for e in h.edges}
+    reference = oracles.lift_fiber_shrink(
+        h.spec.moduli[0], edges, gainsparse.lifts.lift_witness(rejection))
+    assert v.witness == reference
 
 
 def _glued(n, seed):

@@ -11,6 +11,7 @@ from gainsparse import (
     BudgetExceededError,
     ColoredGraph,
     GroupSpec,
+    InternalInvariantError,
     NoCircuitError,
     SparsityParams,
     UncoloredMultigraph,
@@ -302,6 +303,21 @@ def test_witness_is_minimal(fi, seed):
     v = check_colored_sparsity(g, family)
     if not v.sparse:
         _assert_minimal_violation(g, family, v.witness)
+
+
+def test_minimize_witness_guards_the_count():
+    # the unbalanced triangle 0 1 2 meets its count 2n' - 1, so it is
+    # refused; the balanced triangle 1 2 3 plus edge 4 doubling 3 breaks
+    # 2n' - 3 and needs every edge; balanced triples shrink to a pair
+    g = ColoredGraph(Z3, [0, 1, 2], [(0, 0, 1, (1,)), (1, 1, 2, (0,)),
+                                     (2, 2, 0, (0,)), (3, 0, 1, (0,)),
+                                     (4, 0, 1, (0,)), (5, 0, 1, (0,))])
+    minimize = gainsparse.sparsity._minimize_witness
+    for w in ({0, 1, 2}, set()):
+        with pytest.raises(InternalInvariantError):
+            minimize(g, "cone", w)
+    assert minimize(g, "cone", {1, 2, 3, 4}) == {1, 2, 3, 4}
+    assert minimize(g, "cone", {3, 4, 5}) == {4, 5}
 
 
 # The enumeration adds colours as ints (see sparsity._int_colors): Z^2
