@@ -5,7 +5,11 @@ edges allowed) with a group element on every edge.  The map rho sends a
 cycle to the sum of its colors, taken with sign: edges traversed forward
 count positively, backward negatively.  Everything downstream (sparsity
 counts, lifts) only ever looks at rho through the fundamental cycles of a
-spanning forest, so that is what this module computes.
+spanning forest, so that is what this module computes.  One pass,
+_forest, finds that forest by union-find and walks it once to give every
+vertex its component's root and its potential; components,
+spanning_forest, rho_image_basis, subgraph_counts and gauge_normalize
+all read that one pass.
 
 Graphs are immutable after construction.  Edge ids are stable under
 subgraph selection, and every deterministic choice (spanning forests,
@@ -180,87 +184,73 @@ class Subgraph:
         return "Subgraph(%d edges on %d vertices)" % (self.m, self.n)
 
 
-def components(sub):
-    """Split a subgraph into its connected components (direction ignored).
+def _forest(sub):
+    """The one traversal behind every count: (forest, root, pot).
 
-    Components come back ordered by their smallest edge id.
+    A union-find takes the subgraph's non-loop edges in edge-id order and
+    keeps each edge that joins two trees, so forest is the greedy spanning
+    forest and reruns pick the same one.  One walk of that forest from
+    each tree's smallest vertex then records, for every vertex, root (the
+    tree's smallest vertex) and pot, the color sum along the forest path
+    from the root: pot(root) = 0, and traversing a forest edge tail->head
+    adds its color.
     """
-    parent = sub.parent
-    out = []
-    adj = {}
-    for e in sub.edges():
-        adj.setdefault(e.tail, []).append(e)
-        adj.setdefault(e.head, []).append(e)
-    seen = set()
-    for eid in sub.edge_ids:
-        e = parent.edge(eid)
-        if eid in seen:
-            continue
-        stack = [e.tail]
-        verts = {e.tail}
-        bag = []
-        while stack:
-            v = stack.pop()
-            for f in adj.get(v, ()):
-                if f.id not in seen:
-                    seen.add(f.id)
-                    bag.append(f.id)
-                for w in (f.tail, f.head):
-                    if w not in verts:
-                        verts.add(w)
-                        stack.append(w)
-        out.append(Subgraph(parent, bag))
-    return out
-
-
-def spanning_forest(sub):
-    """A maximal cycle-free subset of the subgraph's edges, greedy in
-    edge-id order (so deterministic).  Self-loops never qualify."""
-    root = {}
+    up = {}
 
     def find(x):
-        while root.get(x, x) != x:
-            root[x] = root.get(root[x], root[x])
-            x = root[x]
+        while up.get(x, x) != x:
+            up[x] = up.get(up[x], up[x])
+            x = up[x]
         return x
 
     forest = set()
+    adj = {}
     for e in sub.edges():
         if e.tail == e.head:
             continue
         a, b = find(e.tail), find(e.head)
         if a != b:
-            root[a] = b
+            up[a] = b
             forest.add(e.id)
-    return forest
-
-
-def _potentials(sub, forest):
-    """Color-sum from each component's root along forest paths.  The root
-    of a component is its smallest vertex; pot(root) = 0; traversing a
-    forest edge tail->head adds its color."""
-    parent = sub.parent
-    zero = parent.spec.zero()
-    adj = {}
-    for eid in forest:
-        e = parent.edge(eid)
-        adj.setdefault(e.tail, []).append(e)
-        adj.setdefault(e.head, []).append(e)
+            adj.setdefault(e.tail, []).append(e)
+            adj.setdefault(e.head, []).append(e)
+    zero = sub.parent.spec.zero()
+    root = {}
     pot = {}
     for v in sorted(sub.vertex_set):
-        if v in pot:
+        if v in root:
             continue
+        root[v] = v
         pot[v] = zero
         stack = [v]
         while stack:
             x = stack.pop()
             for e in adj.get(x, ()):
                 y = e.head if e.tail == x else e.tail
-                if y in pot:
+                if y in root:
                     continue
+                root[y] = v
                 pot[y] = pot[x] + e.color if e.tail == x else pot[x] - e.color
                 stack.append(y)
-    return pot
+    return forest, root, pot
+
+
+def components(sub):
+    """Split a subgraph into its connected components (direction ignored).
+
+    Components come back ordered by their smallest edge id.
+    """
+    _, root, _ = _forest(sub)
+    parts = {}
+    for e in sub.edges():
+        parts.setdefault(root[e.tail], []).append(e.id)
+    return [Subgraph(sub.parent, ids) for ids in parts.values()]
+
+
+def spanning_forest(sub):
+    """A maximal cycle-free subset of the subgraph's edges, greedy in
+    edge-id order (so deterministic).  Self-loops never qualify."""
+    return _forest(sub)[0]
 
 
 def rho_image_basis(sub):
@@ -272,14 +262,9 @@ def rho_image_basis(sub):
     (a self-loop just contributes its own color).  These values generate
     the subgraph's rho-image.
     """
-    forest = spanning_forest(sub)
-    pot = _potentials(sub, forest)
-    out = []
-    for e in sub.edges():
-        if e.id in forest:
-            continue
-        out.append(e.color + pot[e.tail] - pot[e.head])
-    return out
+    forest, _, pot = _forest(sub)
+    return [e.color + pot[e.tail] - pot[e.head]
+            for e in sub.edges() if e.id not in forest]
 
 
 def rho_rank(sub):
@@ -294,16 +279,20 @@ def subgraph_counts(sub):
 
     r is the rank of the union of all components' images, which can exceed
     every single component's rank (two rank-1 components with independent
-    images give r = 2).
+    images give r = 2).  A component's image is generated by the
+    fundamental cycles of its own non-forest edges, so one forest pass
+    serves every component.
     """
-    comps = components(sub)
+    forest, root, pot = _forest(sub)
+    img = {v: [] for v in root if root[v] == v}
+    for e in sub.edges():
+        if e.id not in forest:
+            img[root[e.tail]].append(e.color + pot[e.tail] - pot[e.head])
     cs = [0, 0, 0]
-    allimg = []
-    for c in comps:
-        img = rho_image_basis(c)
-        allimg.extend(img)
-        cs[rank_of_span(img)] += 1
-    return SubgraphCounts(sub.n, sub.m, rank_of_span(allimg), cs[0], cs[1], cs[2])
+    for vals in img.values():
+        cs[rank_of_span(vals)] += 1
+    r = rank_of_span([x for vals in img.values() for x in vals])
+    return SubgraphCounts(sub.n, sub.m, r, cs[0], cs[1], cs[2])
 
 
 def graph_counts(g):
@@ -329,9 +318,7 @@ def gauge_normalize(g):
     >>> [str(e.color) for e in gauge_normalize(g).edges]
     ['0', '0', '3']
     """
-    sub = g.full()
-    forest = spanning_forest(sub)
-    pot = _potentials(sub, forest)
+    pot = _forest(g.full())[2]
     zero = g.spec.zero()
     out = []
     for e in g.edges:

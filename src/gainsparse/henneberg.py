@@ -21,16 +21,19 @@ hold: distinct colors on parallel edges, a nonzero lollipop loop, and
 the split identity.
 apply_move enforces exactly those rules, so verification checks the
 base and every move's rules, then runs one family check on the final
-graph.  Deconstruction runs the moves backwards: repeatedly delete a
-vertex of degree two or three whose removal keeps the graph tight, then
-replay forward to emit moves whose edge ids match the replay, not the
-stripping order.
+graph.  Deconstruction takes what a certificate can build (connected,
+with a nonzero cycle image and m = 2n - 2 for Ross, 2n - 1 otherwise)
+and runs the moves backwards: repeatedly delete a vertex of degree two
+or three whose removal keeps the graph tight, then replay forward to
+emit moves whose edge ids match the replay, not the stripping order.
 
 check() is the library's verdict entry point.  It and tight_in_family
 share one lift route (_lift_failure): a Z/p graph with 2n-1 edges is
 cone-Laman exactly when its lift is Laman-sparse, and a Z graph is
 cylinder-tight exactly when its reduction mod a safe prime passes that
-test and its underlying graph is (2,2)-spanning.
+test and its underlying graph is (2,2)-spanning.  tight_in_family takes
+that route exactly when check(method="lift") would (lift_applies), and
+the brute-force count otherwise.
 """
 
 import random
@@ -237,14 +240,14 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
 
 
 def tight_in_family(g, family):
-    """Decide tightness by the fastest route that is actually a theorem:
-    the lift route shared with check (_lift_failure) for odd-prime cone
-    graphs and for cylinder graphs, and the brute-force count otherwise
-    (Ross stays brute force on purpose; the budget keeps it at desk
-    scale)."""
-    if ((family == CONE and odd_prime_cyclic(g.spec))
-            or (family == CYLINDER and g.spec.variant == G.FREE1)):
-        return g.m == 2 * g.n - 1 and _lift_failure(g, family)[0] is None
+    """Is g tight in family?  The same answer as check(g, family).tight,
+    by the fastest route that is a theorem: the lift route shared with
+    check (_lift_failure) wherever lift_applies, that is cone graphs over
+    Z/p (p an odd prime) and cylinder graphs over Z, both with m = 2n - 1;
+    the brute-force count otherwise (Ross always; the budget keeps it at
+    desk scale)."""
+    if lift_applies(g, family):
+        return _lift_failure(g, family)[0] is None
     return check_colored_sparsity(g, family).tight
 
 
@@ -414,11 +417,15 @@ def deconstruct(g, family):
     Stripping picks, at each step, the first admissible reversal in a
     fixed scan order: move kinds in the family's preference order, then
     vertices by ascending id, then candidate pairs by edge id, so the
-    run is deterministic.  g must be tight and connected, else
-    PreconditionError; it takes one full family check, and after
-    that a candidate is accepted on the test _pick_reverse proves enough
-    for its kind: the whole-graph count for h1c and h1cp, the full check
-    for h2c.  The forward replay then rebuilds the graph from the base
+    run is deterministic.  g must have the shape every certificate
+    keeps: one component, a nonzero cycle image (graph_counts reads
+    c0 = 0 and c1 + c2 = 1) and m equal to family_bound, so m = 2n - 2
+    for Ross and 2n - 1 for cone and cylinder.  That count is read
+    first; then g takes one full family check (tight_in_family), and a
+    graph failing either raises PreconditionError.  After that a
+    candidate is accepted on the test _pick_reverse proves enough for its
+    kind: the whole-graph count for h1c and h1cp, the full check for
+    h2c.  The forward replay then rebuilds the graph from the base
     to fix up h2c split ids, and the result is checked against g
     edge-for-edge (orientation free) before return.
     """
@@ -426,16 +433,18 @@ def deconstruct(g, family):
     if g.spec.variant != fam.variant:
         raise UsageError(
             "family %s expects %s colors, got %s" % (family, fam.variant, g.spec))
+    # every base has this shape and every move keeps it, though the
+    # whole-graph count calls two bases side by side tight, and check
+    # calls a balanced triangle tight
+    gc = graph_counts(g)
+    if ((gc.c0, gc.c1 + gc.c2) != (0, 1)
+            or gc.m_prime != family_bound(family, gc)):
+        raise PreconditionError(
+            "input graph (n=%d, m=%d) is not connected with a nonzero cycle "
+            "image and m = 2n - %d, as every %s certificate's graph is"
+            % (g.n, g.m, 2 if family == ROSS else 1, family))
     if not tight_in_family(g, family):
         raise PreconditionError("input graph is not %s-tight" % family)
-    # every base is connected and every move attaches its new vertex to
-    # old ones, so no certificate builds a disconnected graph, though the
-    # whole-graph count can call one tight
-    gc = graph_counts(g)
-    if gc.c0 + gc.c1 + gc.c2 != 1:
-        raise PreconditionError(
-            "input graph is not connected; certificates build connected "
-            "graphs only")
     trail = []
     work = g
     while not is_base(work, family):
@@ -503,9 +512,10 @@ _RETRY_CAP = 200
 
 def _pool_color(spec, rng):
     # bounded pool: the whole group when finite, coordinates in [-2, 2]
-    # otherwise
+    # otherwise.  Finite here is the cone's Z/k, so elem(i) is the i-th
+    # element and randrange draws rng.choice(spec.elements())'s index.
     if spec.finite:
-        return rng.choice(spec.elements())
+        return spec.elem(rng.randrange(spec.order))
     return spec.elem(*[rng.randint(-2, 2) for _ in range(spec.ncoords)])
 
 

@@ -170,6 +170,27 @@ def _components(edges, verts):
     return comps
 
 
+def greedy_forest(edges):
+    """Ids of the greedy spanning forest: edges is a list of (id, u, v)
+    in ascending id order, and an edge is kept exactly when no path of
+    kept edges already joins its ends (a loop never is), found by a
+    fresh search over the kept edges each time."""
+    kept = []
+    for eid, u, v in edges:
+        reach = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for _, a, b in kept:
+                for y, z in ((a, b), (b, a)):
+                    if y == x and z not in reach:
+                        reach.add(z)
+                        stack.append(z)
+        if v not in reach:
+            kept.append((eid, u, v))
+    return {eid for eid, _, _ in kept}
+
+
 def family_bound(family, n, r, c0, c1, c2):
     if family == "ross":
         return 2 * n - 3 * c0 - 2 * (c1 + c2)

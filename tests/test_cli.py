@@ -6,14 +6,18 @@ verdict, 2 usage/parse, 3 budget) is pinned down here.
 """
 
 import contextlib
+import importlib
 import io
+import os
 import random
 import shutil
 import subprocess
+import sys
 import time
 
 import pytest
 
+import gainsparse
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
@@ -202,6 +206,22 @@ def test_deconstruct_disconnected_input_is_a_usage_error(tmp_path):
                               tmp_path / "cert.txt"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "not connected" in err
+    assert not (tmp_path / "cert.txt").exists()
+
+
+@pytest.mark.parametrize("family,group", [("ross", "Z^2"), ("cone", "Z/3"),
+                                          ("cylinder", "Z")])
+def test_deconstruct_balanced_input_is_a_usage_error(tmp_path, family, group):
+    # TIGHT under check, but with every cycle summing to zero
+    spec = GroupSpec.parse(group)
+    f = write_graph(tmp_path / "tri.txt", ColoredGraph(
+        spec, [0, 1, 2], [(0, 1, spec.zero()), (1, 2, spec.zero()),
+                          (2, 0, spec.zero())]))
+    assert run_cli(["check", f, "--family", family])[:2] == (0, "TIGHT\n")
+    code, out, err = run_cli(["deconstruct", f, "--family", family,
+                              tmp_path / "cert.txt"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nonzero cycle image" in err
     assert not (tmp_path / "cert.txt").exists()
 
 
@@ -408,3 +428,24 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "TIGHT"
+
+
+def test_entry_point_exit_codes(tmp_path):
+    # runs the [project.scripts] target the way the installed script
+    # would, so the exit codes are checked without the script on PATH
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gainsparse"]
+    module, func = target.split(":")
+    assert callable(getattr(importlib.import_module(module), func))
+    stub = "import sys, %s; sys.exit(%s.%s())" % (module, module, func)
+    src = os.path.dirname(os.path.dirname(gainsparse.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for color, code, verdict in ((2, 0, "TIGHT"), (0, 1, "VIOLATION 0")):
+        f = write_graph(tmp_path / "loop.txt",
+                        ColoredGraph(Z5, [0], [(0, 0, 0, (color,))]))
+        proc = subprocess.run(
+            [sys.executable, "-c", stub, "check", str(f), "--family", "cone"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout.strip()) == (code, verdict)

@@ -7,10 +7,12 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
     ParseError,
+    Subgraph,
     UsageError,
     components,
     gauge_normalize,
@@ -212,6 +214,67 @@ def test_rho_rank_monotone_under_subgraphs(si, seed):
                        [(e.id, e.tail, e.head, e.color.coords)
                         for e in g.edges if e.id in keep])
     assert rho_rank(sub.full()) <= rho_rank(g.full())
+
+
+# the forest pass against the longhand oracles
+
+_COUNT_SPECS = (Z, Z5, Z2, GroupSpec.parse("Z/3xZ/5"))
+
+
+@st.composite
+def _graph_and_subset(draw):
+    """A graph over one of _COUNT_SPECS (n <= 6, m <= 9) and a subset of
+    its edge ids."""
+    spec = draw(st.sampled_from(_COUNT_SPECS))
+    n = draw(st.integers(min_value=1, max_value=6))
+    end = st.integers(min_value=0, max_value=n - 1)
+    color = st.tuples(*[st.integers(min_value=-3, max_value=3)] * spec.ncoords)
+    edges = draw(st.lists(st.tuples(end, end, color), max_size=9))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges),
+                         max_size=len(edges)))
+    g = ColoredGraph(spec, range(n), edges)
+    return g, [i for i, k in enumerate(keep) if k]
+
+
+def _raw(g, ids):
+    return [(g.edge(i).tail, g.edge(i).head, g.edge(i).color.coords)
+            for i in ids]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_graph_and_subset())
+def test_subgraph_counts_match_the_oracle(case):
+    g, ids = case
+    counts = subgraph_counts(Subgraph(g, ids))
+    n, r, c0, c1, c2 = oracles.colored_subset_counts(
+        oracles.describe_group(g.spec), _raw(g, ids))
+    assert counts == (n, len(ids), r, c0, c1, c2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_graph_and_subset())
+def test_components_partition_the_edges_like_the_oracle(case):
+    g, ids = case
+    parts = components(Subgraph(g, ids))
+    assert sorted(i for p in parts for i in p.edge_ids) == ids
+    firsts = [p.edge_ids[0] for p in parts]
+    assert firsts == sorted(firsts)
+    want = oracles._components(_raw(g, ids),
+                               {x for u, v, _ in _raw(g, ids) for x in (u, v)})
+    assert sorted(sorted(p.vertex_set) for p in parts) == sorted(
+        sorted(members) for members in want)
+    for p in parts:
+        assert p.edge_ids == tuple(
+            i for i in ids if g.edge(i).tail in p.vertex_set)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_graph_and_subset())
+def test_spanning_forest_is_the_greedy_forest(case):
+    g, ids = case
+    want = oracles.greedy_forest(
+        [(i, g.edge(i).tail, g.edge(i).head) for i in ids])
+    assert spanning_forest(Subgraph(g, ids)) == want
 
 
 # text format

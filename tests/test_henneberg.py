@@ -1,7 +1,9 @@
 """Henneberg moves, certificates, deconstruction, and random generation."""
 
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gainsparse.henneberg
 from gainsparse import (
@@ -258,6 +260,60 @@ def test_deconstruct_refuses_disconnected_input():
     assert tight_in_family(g, "ross")
     with pytest.raises(PreconditionError, match="not connected"):
         deconstruct(g, "ross")
+
+
+def _balanced_triangle(spec):
+    z = spec.zero()
+    return ColoredGraph(spec, [0, 1, 2], [(0, 1, z), (1, 2, z), (2, 0, z)])
+
+
+# check calls each of these TIGHT, but every cycle sums to zero, and no
+# certificate builds a graph without a nonzero cycle
+BALANCED_TRIANGLES = [("ross", _balanced_triangle(Z2)),
+                      ("cone", _balanced_triangle(GroupSpec.parse("Z/3"))),
+                      ("cylinder", _balanced_triangle(Z))]
+
+
+@pytest.mark.parametrize("family,g", BALANCED_TRIANGLES)
+def test_deconstruct_refuses_balanced_input(family, g):
+    assert check(g, family).tight
+    with pytest.raises(PreconditionError, match="nonzero cycle image"):
+        deconstruct(g, family)
+
+
+_TIGHT_SPECS = {"ross": (Z2,), "cone": (GroupSpec.parse("Z/3"), Z5),
+                "cylinder": (Z,)}
+
+
+@st.composite
+def _family_graph(draw):
+    """A family and a graph over one of its groups with at most 12
+    edges, m = 2n - 1 (the lift route's count) about half the time."""
+    family = draw(st.sampled_from(sorted(_TIGHT_SPECS)))
+    spec = draw(st.sampled_from(_TIGHT_SPECS[family]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.one_of(st.just(2 * n - 1), st.integers(min_value=0,
+                                                        max_value=12)))
+    end = st.integers(min_value=0, max_value=n - 1)
+    color = st.tuples(*[st.integers(min_value=-2, max_value=2)] * spec.ncoords)
+    edges = draw(st.lists(st.tuples(end, end, color), min_size=m, max_size=m))
+    return family, ColoredGraph(spec, range(n), edges)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_family_graph())
+@example(BALANCED_TRIANGLES[0])
+@example(BALANCED_TRIANGLES[1])
+@example(BALANCED_TRIANGLES[2])
+def test_tight_in_family_agrees_with_check(case):
+    family, g = case
+    assert tight_in_family(g, family) == check(g, family).tight
+
+
+def test_random_construct_does_not_build_the_group():
+    start = time.perf_counter()
+    random_construct("cone", 20, 1, group=GroupSpec.cyclic(100003))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_random_construct_is_deterministic():
