@@ -28,12 +28,13 @@ or three whose removal keeps the graph tight, then replay forward to
 emit moves whose edge ids match the replay, not the stripping order.
 
 check() is the library's verdict entry point.  It and tight_in_family
-share one lift route (_lift_failure): a Z/p graph with 2n-1 edges is
-cone-Laman exactly when its lift is Laman-sparse, and a Z graph is
-cylinder-tight exactly when its reduction mod a safe prime passes that
-test and its underlying graph is (2,2)-spanning.  tight_in_family takes
-that route exactly when check(method="lift") would (lift_applies), and
-the brute-force count otherwise.
+share one lift route (_lift_violation, a violating edge set or None): a
+Z/p graph with 2n-1 edges is cone-Laman exactly when its lift is
+Laman-sparse, and a Z graph is cylinder-tight exactly when its
+reduction mod a safe prime passes that test and its underlying graph is
+(2,2)-spanning.  tight_in_family takes that route exactly when
+check(method="lift") would (lift_applies), and the brute-force count
+otherwise.
 """
 
 import random
@@ -46,8 +47,8 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
 from . import groups as G
 from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
                      parse_colored_graph, serialize_colored_graph)
-from .lifts import (lift_rejection, path_color_sum, reduce_colors,
-                    odd_prime_cyclic, lift_witness, disjoint_circuit_witness)
+from .lifts import (path_color_sum, reduce_colors, odd_prime_cyclic,
+                    lift_witness, disjoint_circuit_witness)
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
@@ -174,20 +175,18 @@ def apply_move(g, m):
     return out
 
 
-def _lift_failure(g, family):
+def _lift_violation(g, family):
     """The lift route for a cone graph over Z/p (p an odd prime) or a
-    cylinder graph over Z with m = 2n - 1.  Returns (failed, rejection):
-    failed is None when g is tight, "lift" when the lift of g (for
-    cylinder, of its reduction mod a safe prime) is not Laman-sparse, or
-    "spanning" when, the lift having passed, the underlying graph is not
-    (2,2)-spanning.  rejection is lift_rejection's stuck run for "lift",
-    else None."""
-    rejection = lift_rejection(g if family == CONE else reduce_colors(g)[0])
-    if rejection is not None:
-        return "lift", rejection
-    if family == CYLINDER and not is_kl_spanning(underlying(g), (2, 2)):
-        return "spanning", None
-    return None, None
+    cylinder graph over Z with m = 2n - 1.  None when g is tight, else
+    an unminimised violating edge set: lift_witness of g (for cylinder,
+    of its reduction mod a safe prime), or, for a cylinder graph whose
+    lift passes but whose underlying graph is not (2,2)-spanning,
+    disjoint_circuit_witness(g)."""
+    found = lift_witness(g if family == CONE else reduce_colors(g)[0])
+    if (found is None and family == CYLINDER
+            and not is_kl_spanning(underlying(g), (2, 2))):
+        found = disjoint_circuit_witness(g)
+    return found
 
 
 def _lift_refusal(g, family):
@@ -217,7 +216,8 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     refusing graphs above `budget` edges; method="lift" takes the
     polynomial lift route, for cone graphs over Z/p (p an odd prime) and
     cylinder graphs over Z, both with m = 2n - 1, where sparse means
-    tight.  Each engine's witness is minimised against g's own count.
+    tight.  The brute witness and the lift route's set (_lift_violation)
+    are each minimised against g's own count.
 
     >>> z5 = G.GroupSpec.cyclic(5)
     >>> g = ColoredGraph(z5, [0], [(0, 0, 0, 2)])
@@ -231,23 +231,22 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     refusal = _lift_refusal(g, family)
     if refusal is not None:
         raise refusal
-    failed, rejection = _lift_failure(g, family)
-    if failed is None:
+    found = _lift_violation(g, family)
+    if found is None:
         return Verdict(True, True, None)
-    found = (disjoint_circuit_witness(g) if failed == "spanning"
-             else lift_witness(rejection))
     return Verdict(False, False, _minimize_witness(g, family, found))
 
 
 def tight_in_family(g, family):
     """Is g tight in family?  The same answer as check(g, family).tight,
-    by the fastest route that is a theorem: the lift route shared with
-    check (_lift_failure) wherever lift_applies, that is cone graphs over
-    Z/p (p an odd prime) and cylinder graphs over Z, both with m = 2n - 1;
+    by the fastest route that is a theorem: wherever lift_applies (cone
+    over Z/p, p an odd prime, and cylinder over Z, both with m = 2n - 1),
+    the lift route shared with check, tight when _lift_violation finds no
+    set (nothing is minimised);
     the brute-force count otherwise (Ross always; the budget keeps it at
     desk scale)."""
     if lift_applies(g, family):
-        return _lift_failure(g, family)[0] is None
+        return _lift_violation(g, family) is None
     return check_colored_sparsity(g, family).tight
 
 

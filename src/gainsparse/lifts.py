@@ -14,9 +14,11 @@ polynomial time routes through here: the lift of a Z/p-colored graph with
 connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
 Z colors are first reduced modulo a safe prime that no cycle sum can
-reach; a cover above MAX_COVER is refused before it is built.  When the
-lift check fails, lift_witness projects the region its stuck pebble game
-reached to a violating base edge set; when cylinder spanning fails,
+reach; a cover above MAX_COVER is refused before it is built.
+lift_witness is the one call from a graph to the lift check: it plays
+the (2,3) game on the lift up to its first rejection and projects the
+region that rejection's stuck searches marked to a violating base edge
+set, or returns None.  When cylinder spanning fails,
 disjoint_circuit_witness reports two disjoint (2,2)-circuits, each read
 off its stuck game, whose union is one.  sparsity._minimize_witness
 checks and shrinks either.
@@ -230,19 +232,43 @@ def path_color_sum(g, edge_ai, i, edge_ib):
     return first + second
 
 
-def lift_rejection(g):
-    """Play the (2,3) pebble game on the lift of a graph with 2n-1 edges
-    up to its first rejection, straight over the lift's end arrays.  None
-    when g is cone-Laman, else the stuck run (sg, game, f): the lift, the
-    game and the rejected lift edge id, for lift_witness."""
+def lift_witness(g):
+    """Play the (2,3) pebble game on the lift of a graph with 2n-1 edges,
+    straight over the lift's end arrays, up to its first rejection.  None
+    when g is cone-Laman, else a violating base edge set P: the base
+    edges under the lift edges up to the rejected one, f, with both ends
+    in the region R that f's stuck searches reached.
+
+    The cone count is 2(n' - c0) - 1 on nonempty sets, twice the frame
+    matroid's rank (Zaslavsky, JCTB 1991) minus one, so cone-sparse sets
+    form a matroid (Edmonds 1970): by the cover theorem, the sets with a
+    Laman-sparse lift.  P holds C*, the circuit of f's base edge j over
+    the edges B before it.  Proof: the game offers the lift fiber by
+    fiber in base edge order and f is its first rejection, so B is
+    independent and B + j holds one circuit, C*; lift(P) holds D, the
+    accepted edges in R plus f, which is f's fundamental circuit, so P
+    is dependent, and P lies in B + j.  P = C* exactly
+    when f is spanned by lift(C* - j) and the edges of j's fiber before
+    f, since D lies in every dependent subset of the accepted edges plus
+    f.  That is not proved, but it held on every violating graph tried
+    (8,833 random or rewired ones with n <= 8, 400 planted ones with n up
+    to 45); were P larger and not violating, the guard of
+    sparsity._minimize_witness would fail loudly.
+    """
     _require_liftable(g.spec)
     if g.m != 2 * g.n - 1:
         raise PreconditionError(
             "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
     sg = build_lift(g)
-    game, _, rejected = _play(sg.n, 2, 3, zip(range(sg.m), sg.xs, sg.ys),
+    xs, ys, N = sg.xs, sg.ys, len(sg.group)
+    game, _, rejected = _play(sg.n, 2, 3, zip(range(sg.m), xs, ys),
                               stop_on_reject=True)
-    return (sg, game, rejected[0]) if rejected else None
+    if not rejected:
+        return None
+    region = game.region()
+    beids = sorted(g.edge_ids())
+    return frozenset(beids[i // N] for i in range(rejected[0] + 1)
+                     if xs[i] in region and ys[i] in region)
 
 
 def cone_laman_via_lift(g):
@@ -251,7 +277,7 @@ def cone_laman_via_lift(g):
     polynomial-time route; the brute-force count is the oracle it is
     checked against.
     """
-    return lift_rejection(g) is None
+    return lift_witness(g) is None
 
 
 def _next_odd_prime(above):
@@ -286,35 +312,6 @@ def reduce_colors(g):
 
 
 # --- witnesses -----------------------------------------------------------
-
-
-def lift_witness(rejection):
-    """A violating base edge set from the stuck run (sg, game, f) of
-    lift_rejection: P, the base edges under the lift edges up to f with
-    both ends in the region R that f's search reached.
-
-    The cone count is 2(n' - c0) - 1 on nonempty sets, twice the frame
-    matroid's rank (Zaslavsky, JCTB 1991) minus one, so cone-sparse sets
-    form a matroid (Edmonds 1970): by the cover theorem, the sets with a
-    Laman-sparse lift.  P holds C*, the circuit of f's base edge j over
-    the edges B before it.  Proof: the game offers the lift fiber by
-    fiber in base edge order and f is its first rejection, so B is
-    independent and B + j holds one circuit, C*; lift(P) holds D, the
-    accepted edges in R plus f, which is f's fundamental circuit, so P
-    is dependent, and P lies in B + j.  P = C* exactly
-    when f is spanned by lift(C* - j) and the edges of j's fiber before
-    f, since D lies in every dependent subset of the accepted edges plus
-    f.  That is not proved, but it held on every violating graph tried
-    (8,833 random or rewired ones with n <= 8, 400 planted ones with n up
-    to 45); were P larger and not violating, the guard of
-    sparsity._minimize_witness would fail loudly.
-    """
-    sg, game, f = rejection
-    xs, ys, N = sg.xs, sg.ys, len(sg.group)
-    region = game.reachable(xs[f], ys[f])
-    beids = sorted(sg.base.edge_ids())
-    return frozenset(beids[i // N] for i in range(f + 1)
-                     if xs[i] in region and ys[i] in region)
 
 
 def disjoint_circuit_witness(g):

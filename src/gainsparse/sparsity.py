@@ -117,7 +117,9 @@ class _PebbleGame:
     peb[v] + outdegree(v) == k at all times; an edge is accepted when l+1
     pebbles sit on its endpoints, one of which then pays for the edge.
     `reached` is the game's work: the number of vertices each search
-    reached, summed over every search so far.
+    reached, summed over every search so far.  `stuck` is the stamp of
+    the last rejected insert's first search; until the next insert,
+    region() reads what its failed searches marked.
 
     Each search is breadth first: it stops at the nearest free pebble and
     moves it along a shortest path.  Which path a search takes cannot
@@ -135,7 +137,7 @@ class _PebbleGame:
         self.out = [[] for _ in range(n)]
         self.seen = [0] * n
         self.prev = [0] * n
-        self.stamp = 0
+        self.stamp = self.stuck = 0
         self.reached = 0
 
     def _grab(self, s, x1, x2):
@@ -174,12 +176,14 @@ class _PebbleGame:
             # ever fit when l < k
             while peb[u] < l + 1:
                 if not self._grab(u, u, u):
+                    self.stuck = self.stamp
                     return False
             peb[u] -= 1
             self.out[u].append(u)
             return True
         while peb[u] + peb[v] < l + 1:
             if not (self._grab(u, u, v) or self._grab(v, u, v)):
+                self.stuck = self.stamp - 1
                 return False
         if peb[u] == 0:
             u, v = v, u
@@ -187,17 +191,9 @@ class _PebbleGame:
         self.out[u].append(v)
         return True
 
-    def reachable(self, u, v):
-        """Vertex indices reachable from {u, v} along accepted arcs."""
-        seen = set([u, v])
-        stack = [u, v]
-        while stack:
-            x = stack.pop()
-            for y in self.out[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
+    def region(self):
+        """Vertices reachable from the ends of a just-rejected insert."""
+        return {x for x, st in enumerate(self.seen) if st >= self.stuck}
 
 
 def _play(n, k, l, arcs, stop_on_reject=False):
@@ -251,16 +247,17 @@ def fundamental_circuit(g, params, basis, eid):
     """The unique (k,l)-circuit inside basis + e, read off one pebble game.
 
     The game offers the basis, then e.  When e fails, its ends u and v
-    hold at most l pebbles and no other vertex reachable from them holds
-    one.  Every vertex holds k pebbles and out-arcs together and no arc
-    leaves the reachable set R, so R spans k|R| - (pebbles on u, v) >=
-    k|R| - l basis edges and B[R] + e is dependent.  Sparsity makes that
-    exactly k|R| - l when B[R] is nonempty (else e is a loop and R its
-    one vertex), so u and v hold l pebbles.  The circuit's vertex set T
-    spans k|T| - l basis edges, so its arcs cost every pebble in T but
-    those l: no arc leaves T, and T contains R.  B[R] therefore lies in
-    the circuit, which is B[R] + e (Lee and Streinu, Discrete Math.
-    2008).  Raises NoCircuitError when e is independent of the basis.
+    hold at most l pebbles and no other vertex of R, the set its stuck
+    searches marked (all that is reachable from u and v), holds one.
+    Every vertex holds k pebbles and out-arcs together and no arc leaves
+    R, so R spans k|R| - (pebbles on u, v) >= k|R| - l basis edges and
+    B[R] + e is dependent.  Sparsity makes that exactly k|R| - l when
+    B[R] is nonempty (else e is a loop and R its one vertex), so u and v
+    hold l pebbles.  The circuit's vertex set T spans k|T| - l basis
+    edges, so its arcs cost every pebble in T but those l: no arc leaves
+    T, and T contains R.  B[R] therefore lies in the circuit, which is
+    B[R] + e (Lee and Streinu, Discrete Math. 2008).  Raises
+    NoCircuitError when e is independent of the basis.
 
     >>> k4 = UncoloredMultigraph(range(4), [(0, 1), (0, 2), (0, 3),
     ...                                     (1, 2), (1, 3), (2, 3)])
@@ -277,8 +274,7 @@ def fundamental_circuit(g, params, basis, eid):
     if eid in accepted:
         raise NoCircuitError("edge %d is independent of the basis" % eid)
     pos, byid = g._pos, g._byid
-    _, u, v = byid[eid]
-    region = game.reachable(pos[u], pos[v])
+    region = game.region()
     inside = [f for f in basis if pos[byid[f][1]] in region
               and pos[byid[f][2]] in region]
     if inside and len(inside) != k * len(region) - l:
@@ -354,8 +350,11 @@ def check_colored_sparsity(g, family, budget=DEFAULT_BUDGET):
     a minimal violating edge set, deterministic for a given graph.
 
     Graphs with more than `budget` edges are refused with
-    BudgetExceededError since the enumeration is exponential.
+    BudgetExceededError since the enumeration is exponential; a negative
+    budget is a UsageError.
     """
+    if budget < 0:
+        raise UsageError("budget must be nonnegative, got %d" % budget)
     if family not in FAMILIES:
         raise UsageError("unknown family %r" % (family,))
     if g.spec.variant not in _FAMILY_GROUPS[family]:

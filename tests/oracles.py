@@ -316,3 +316,17 @@ def lift_fiber_shrink(p, edges, candidates):
         if not kl_independent([f for e in rest for f in fiber(e)], 2, 3):
             keep = rest
     return frozenset(keep)
+
+
+def arc_reach(out, starts):
+    """Every vertex reachable from starts along the arcs x -> y for y in
+    out[x], found by a depth-first walk written out longhand."""
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen

@@ -232,6 +232,19 @@ def test_budget_flag_raises_cap(tmp_path):
     assert (code, out.strip()) == (0, "SPARSE")
 
 
+def test_negative_budget_is_a_usage_error(tmp_path):
+    # m = 2n - 1 over Z/3, so a budget error would carry the lift hint
+    f = write_graph(tmp_path / "g.txt", ColoredGraph(
+        Z3, [0, 1], [(0, 0, 1, (1,)), (1, 0, 1, (2,)), (2, 1, 1, (1,))]))
+    code, out, err = run_cli(["check", f, "--family", "cone",
+                              "--budget", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: budget must be nonnegative, got -1\n"
+    f = write_graph(tmp_path / "empty.txt", ColoredGraph(Z3, [], []))
+    assert run_cli(["check", f, "--family", "cone", "--budget", "0"]) == (
+        0, "TIGHT\n", "")
+
+
 def test_lift_method_needs_square_count(tmp_path):
     for family, spec in (("cylinder", Z), ("cone", Z3)):
         f = write_graph(tmp_path / "ring.txt", _long_cycle(spec=spec))

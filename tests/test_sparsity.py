@@ -24,8 +24,8 @@ from gainsparse import (
     underlying,
     verdict_line,
 )
-from oracles import colored_subset_counts, colored_verdict, describe_group, \
-    family_bound, kl_sparse_edge_subsets
+from oracles import arc_reach, colored_subset_counts, colored_verdict, \
+    describe_group, family_bound, kl_sparse_edge_subsets
 
 P21 = SparsityParams(2, 1)
 P22 = SparsityParams(2, 2)
@@ -162,6 +162,21 @@ def test_fundamental_circuit_matches_exchange_definition(n, pairs, params, rng):
         assert fundamental_circuit(g, params, basis, eid) == expected
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=6),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=18),
+       st.sampled_from([SparsityParams(1, 1), P21, P22, P23]))
+def test_region_is_what_the_stuck_searches_reach(n, pairs, params):
+    # a failed search marks all it can reach, so the marks the rejected
+    # insert left are the longhand walk from the rejected edge's ends
+    game = gainsparse.sparsity._PebbleGame(n, *params)
+    for u, v in pairs:
+        u, v = u % n, v % n
+        if not game.insert(u, v):
+            assert game.region() == arc_reach(game.out, [u, v])
+            return
+
+
 def test_fundamental_circuit_requires_dependence():
     basis = kl_basis(TRIANGLE, P23) - {2}
     with pytest.raises(NoCircuitError):
@@ -225,6 +240,18 @@ def test_budget_is_enforced_and_adjustable():
         check_colored_sparsity(big, "cylinder")
     v = check_colored_sparsity(big, "cylinder", budget=30)
     assert v.sparse and not v.tight
+
+
+def test_negative_budget_is_a_usage_error():
+    g = ColoredGraph(Z3, [0, 1], [(0, 0, 1, (1,)), (1, 0, 1, (2,)),
+                                  (2, 1, 1, (1,))])
+    with pytest.raises(UsageError, match="budget must be nonnegative"):
+        check_colored_sparsity(g, "cone", budget=-1)
+    # refused before anything else is looked at, the family included
+    with pytest.raises(UsageError, match="budget must be nonnegative"):
+        check_colored_sparsity(g, "no such family", budget=-1)
+    empty = ColoredGraph(Z3, [], [])
+    assert check_colored_sparsity(empty, "cone", budget=0) == (True, True, None)
 
 
 def test_verdict_lines():
