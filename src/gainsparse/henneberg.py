@@ -53,7 +53,7 @@ from .lifts import (path_color_sum, reduce_colors, odd_prime_cyclic,
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
                        check_colored_sparsity, family_bound, graph_counts,
-                       is_kl_spanning, underlying, _minimize_witness)
+                       is_kl_spanning, _minimize_witness)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -184,7 +184,7 @@ def _lift_violation(g, family):
     disjoint_circuit_witness(g)."""
     found = lift_witness(g if family == CONE else reduce_colors(g)[0])
     if (found is None and family == CYLINDER
-            and not is_kl_spanning(underlying(g), (2, 2))):
+            and not is_kl_spanning(g, (2, 2))):
         found = disjoint_circuit_witness(g)
     return found
 

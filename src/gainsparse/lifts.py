@@ -16,11 +16,11 @@ connected base has a connected lift exactly when its rho-rank is nonzero
 Z colors are first reduced modulo a safe prime that no cycle sum can
 reach; a cover above MAX_COVER is refused before it is built.
 lift_witness is the one call from a graph to the lift check: it plays
-the (2,3) game on the lift up to its first rejection and projects the
-region that rejection's stuck searches marked to a violating base edge
-set, or returns None.  When cylinder spanning fails,
-disjoint_circuit_witness reports two disjoint (2,2)-circuits, each read
-off its stuck game, whose union is one.  sparsity._minimize_witness
+the (2,3) game on the lift up to its first rejection and projects that
+edge's circuit, read off the game, to a violating base edge set, or
+returns None.  When cylinder spanning fails, disjoint_circuit_witness
+reports the circuits of the first two edges one (2,2) game rejects,
+two disjoint circuits whose union is one.  sparsity._minimize_witness
 checks and shrinks either.
 """
 
@@ -30,8 +30,8 @@ from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
                      NoCircuitError, InternalInvariantError)
 from . import groups as G
 from .graphs import ColoredGraph, components
-from .sparsity import (UncoloredMultigraph, underlying, fundamental_circuit,
-                       _play, _run_game)
+from .sparsity import (UncoloredMultigraph, fundamental_circuit, _PebbleGame,
+                       _run_game)
 # Unused here: perfbench/spans.py patches both by name and fails without.
 from .sparsity import kl_basis, is_kl_sparse  # noqa: F401
 
@@ -137,9 +137,6 @@ class SymmetricGraph:
         whose endpoints are eid's endpoints acted on by gamma."""
         return self._act(gamma, eid)
 
-    def translate_edges(self, gamma, edge_ids):
-        return frozenset(self.act_on_edge(gamma, e) for e in edge_ids)
-
     def multigraph(self):
         """The lift as an uncolored multigraph on dense vertex indices."""
         return UncoloredMultigraph(range(self.n),
@@ -233,11 +230,11 @@ def path_color_sum(g, edge_ai, i, edge_ib):
 
 
 def lift_witness(g):
-    """Play the (2,3) pebble game on the lift of a graph with 2n-1 edges,
-    straight over the lift's end arrays, up to its first rejection.  None
-    when g is cone-Laman, else a violating base edge set P: the base
-    edges under the lift edges up to the rejected one, f, with both ends
-    in the region R that f's stuck searches reached.
+    """Play the (2,3) pebble game on the lift of a graph over Z/p (p an
+    odd prime) with 2n-1 edges, straight over the lift's end arrays, up
+    to its first rejection, f.  None when g is cone-Laman, else a
+    violating base edge set P: the base edges under f's circuit D, which
+    the game names as it rejects f.
 
     The cone count is 2(n' - c0) - 1 on nonempty sets, twice the frame
     matroid's rank (Zaslavsky, JCTB 1991) minus one, so cone-sparse sets
@@ -245,30 +242,28 @@ def lift_witness(g):
     Laman-sparse lift.  P holds C*, the circuit of f's base edge j over
     the edges B before it.  Proof: the game offers the lift fiber by
     fiber in base edge order and f is its first rejection, so B is
-    independent and B + j holds one circuit, C*; lift(P) holds D, the
-    accepted edges in R plus f, which is f's fundamental circuit, so P
-    is dependent, and P lies in B + j.  P = C* exactly
-    when f is spanned by lift(C* - j) and the edges of j's fiber before
-    f, since D lies in every dependent subset of the accepted edges plus
-    f.  That is not proved, but it held on every violating graph tried
-    (8,833 random or rewired ones with n <= 8, 400 planted ones with n up
-    to 45); were P larger and not violating, the guard of
-    sparsity._minimize_witness would fail loudly.
+    independent and B + j holds one circuit, C*; lift(P) holds D, so P
+    is dependent, and P lies in B + j.  P = C* exactly when f is spanned
+    by lift(C* - j) and the edges of j's fiber before f, since D lies in
+    every dependent subset of the accepted edges plus f.  That is not
+    proved, but it held on every violating graph tried (8,833 random or
+    rewired ones with n <= 8, 400 planted ones with n up to 45); were P
+    larger and not violating, the guard of sparsity._minimize_witness
+    would fail loudly.
     """
-    _require_liftable(g.spec)
+    if not odd_prime_cyclic(g.spec):
+        raise UnsupportedGroupError(
+            "the lift criterion needs Z/p for an odd prime p, got %s" % g.spec)
     if g.m != 2 * g.n - 1:
         raise PreconditionError(
             "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
     sg = build_lift(g)
-    xs, ys, N = sg.xs, sg.ys, len(sg.group)
-    game, _, rejected = _play(sg.n, 2, 3, zip(range(sg.m), xs, ys),
-                              stop_on_reject=True)
-    if not rejected:
+    game = _PebbleGame(sg.n, 2, 3)
+    f = next(game.play(zip(range(sg.m), sg.xs, sg.ys)), None)
+    if f is None:
         return None
-    region = game.region()
-    beids = sorted(g.edge_ids())
-    return frozenset(beids[i // N] for i in range(rejected[0] + 1)
-                     if xs[i] in region and ys[i] in region)
+    beids, N = sorted(g.edge_ids()), len(sg.group)
+    return frozenset(beids[i // N] for i in game.circuit(f))
 
 
 def cone_laman_via_lift(g):
@@ -316,8 +311,9 @@ def reduce_colors(g):
 
 def disjoint_circuit_witness(g):
     """Cylinder witness when the colored counts pass mod p but the
-    underlying graph is not (2,2)-spanning: two vertex-disjoint
-    (2,2)-circuits whose union breaks the cylinder count.
+    underlying graph is not (2,2)-spanning: the circuits of the first two
+    edges that one (2,2) game on g rejects, read off the game.  They are
+    vertex-disjoint and their union breaks the cylinder count.
 
     Each circuit C_i is connected with 2n_i - 1 edges, so the cone count
     the lift just passed makes it unbalanced.  Disjointness is forced,
@@ -328,13 +324,12 @@ def disjoint_circuit_witness(g):
     (unbalanced parts, being (2,2)-sparse) or 2n' - 3 (balanced parts,
     by the cone count), which puts the union back within the bound: the
     union is a minimal witness as it stands."""
-    umg = underlying(g)
-    _, accepted, rejected = _run_game(umg, 2, 2)
-    if len(rejected) < 2:
+    game, rejected = _run_game(g, 2, 2)
+    circuits = [game.circuit(f) for _, f in zip(range(2), rejected)]
+    if len(circuits) < 2:
         raise InternalInvariantError(
-            "spanning failed with %d rejected edges" % len(rejected))
-    c1 = fundamental_circuit(umg, (2, 2), accepted, rejected[0])
-    c2 = fundamental_circuit(umg, (2, 2), accepted, rejected[1])
+            "spanning failed with %d rejected edges" % len(circuits))
+    c1, c2 = circuits
 
     def span(c):
         return {v for eid in c for v in (g.edge(eid).tail, g.edge(eid).head)}
@@ -365,18 +360,19 @@ def eliminate_orbit_circuit(sg, circuit, orbit_rep):
 
     A circuit that already meets the orbit once comes back unchanged.
     Otherwise the search runs over the closure X, the union of the
-    circuit's translates.  X is closed under the action, so eliminating
-    orbit edges between translates, step after step, only ever reaches
-    circuits inside X.  The basis is built greedily from X, orbit edges
-    offered last.  If a circuit of X avoids the orbit, some non-orbit
-    edge is rejected, and its fundamental circuit avoids the orbit too.
-    Otherwise every non-orbit edge is in the basis, so a circuit of X
-    through a single orbit edge o gets o rejected, with a fundamental
-    circuit meeting the orbit only at o.  Scanning the rejected edges
-    thus finds a qualifying circuit whenever X holds one.  None need
-    exist: removing the whole fiber can cost two ranks at once, leaving
-    each single fiber edge independent of everything else, and then
-    every circuit in X meets the orbit twice.  That case raises
+    circuit's translates, which is the union of its edges' orbits.  X is
+    closed under the action, so eliminating orbit edges between
+    translates, step after step, only ever reaches circuits inside X.
+    One game offers X, orbit edges last, and names each rejected edge's
+    circuit as it rejects it.  If a circuit of X avoids the orbit, some
+    non-orbit edge is rejected, and its circuit avoids the orbit too.
+    Otherwise every non-orbit edge is accepted, so a circuit of X
+    through a single orbit edge o gets o rejected, with a circuit
+    meeting the orbit only at o.  Scanning the rejected edges thus finds
+    a qualifying circuit whenever X holds one.  None need exist:
+    removing the whole fiber can cost two ranks at once, leaving each
+    single fiber edge independent of everything else, and then every
+    circuit in X meets the orbit twice.  That case raises
     PreconditionError.
     """
     umg = sg.multigraph()
@@ -388,13 +384,11 @@ def eliminate_orbit_circuit(sg, circuit, orbit_rep):
         raise UsageError("orbit of edge %d does not meet the circuit" % orbit_rep)
     if len(orbit & circuit) == 1:
         return circuit
-    closure = set()
-    for gamma in sg.group:
-        closure |= sg.translate_edges(gamma, circuit)
+    closure = set().union(*(sg.orbit_of_edge(e) for e in circuit))
     order = sorted(closure - orbit) + sorted(closure & orbit)
-    _, accepted, rejected = _run_game(umg, 2, 3, order)
+    game, rejected = _run_game(umg, 2, 3, order)
     for f in rejected:
-        cand = fundamental_circuit(umg, (2, 3), accepted, f)
+        cand = game.circuit(f)
         if len(cand & orbit) <= 1:
             if not _is_circuit(umg, cand):
                 raise InternalInvariantError(

@@ -1,14 +1,14 @@
 """(k,l)-sparsity: the pebble game and the colored count recognizers.
 
 Two kinds of machinery live here.  The pebble game decides uncolored
-(k,l)-sparsity and produces bases and fundamental circuits; it runs on
-plain multigraphs (underlying graphs of colored graphs) or straight on
-the end arrays of symmetric lifts.  Each insert makes at most l+1
-breadth-first searches, so a game is O(m(n+m)) at worst, but a search
-stops at the nearest free pebble.  On the Z/3 lifts of chains (vertex v
-joined to v-1 and v-2) the searches reach about 41 vertices per lift
-edge at n = 1000 and at n = 2000; on random-attachment bases they reach
-about 70, 120 and 180 at n = 300, 800 and 2000.  The colored
+(k,l)-sparsity, builds bases and names each rejected edge's circuit; it
+runs on plain multigraphs, on colored graphs (colours ignored) or
+straight on the end arrays of symmetric lifts.  Each insert makes at
+most l+1 breadth-first searches, so a game is O(m(n+m)) at worst, but a
+search stops at the nearest free pebble.  On the Z/3 lifts of chains
+(vertex v joined to v-1 and v-2) the searches reach about 41 vertices
+per lift edge at n = 1000 and at n = 2000; on random-attachment bases
+they reach about 70, 120 and 180 at n = 300, 800 and 2000.  The colored
 recognizers evaluate the four per-family counts
 
     Ross       m' <= 2n' - 3c0 - 2(c1 + c2)
@@ -33,13 +33,7 @@ rest) than the Laman bound 2n' - 3 of a balanced one, so none breaks
 the count on a (2,2)-sparse graph (Ross) or a (2,1)-sparse one (the
 rest).  For cylinder and colored the (2,2) game must also reject at
 most one edge, so that no two disjoint unbalanced pieces can break it
-together; _search_violation has the proof.  On the 111 brute-small
-inputs of benchmark seed 1 the walk meets 3.3 million connected
-subsets, where it met 8.8 million without that gate; the benchmark
-runs that workload at 72 items/s against 30 before, and tier-1
-criteria 4 and 5 (brute-force checks of 14,988 certificate prefixes,
-and the deconstruction round trip) take 19 s and 29 s against 41 s
-and 55 s (Python 3.11, shared 2-vCPU machine).
+together; _search_violation has the proof.
 """
 
 from collections import namedtuple
@@ -47,8 +41,7 @@ from collections import namedtuple
 from .errors import (UsageError, UnsupportedGroupError, NoCircuitError,
                      BudgetExceededError, InternalInvariantError)
 from . import groups as G
-from .graphs import (Subgraph, subgraph_counts, graph_counts, rho_image_basis,
-                     _index_graph)
+from .graphs import Subgraph, subgraph_counts, graph_counts, _index_graph
 
 ROSS = "ross"
 CONE = "cone"
@@ -116,18 +109,18 @@ class _PebbleGame:
 
     peb[v] + outdegree(v) == k at all times; an edge is accepted when l+1
     pebbles sit on its endpoints, one of which then pays for the edge.
-    `reached` is the game's work: the number of vertices each search
-    reached, summed over every search so far.  `stuck` is the stamp of
-    the last rejected insert's first search; until the next insert,
-    region() reads what its failed searches marked.
+    play() keeps the accepted edges' ids in `ids` and their ends in `us`
+    and `vs`.  `reached` is the game's work: the number of vertices each
+    search reached, summed over every search so far.  `stuck` is the
+    stamp of the last rejected insert's first search; until the next
+    insert, region() and circuit() read what its failed searches marked.
 
     Each search is breadth first: it stops at the nearest free pebble and
     moves it along a shortest path.  Which path a search takes cannot
     change any output.  The accepted edges are the greedy basis of the
     (k,l) count matroid in offer order, whatever the arcs look like; and
-    the region a failed insert reaches is the vertex set of the unique
-    fundamental circuit of the rejected edge (see fundamental_circuit),
-    so it too is fixed by the edges alone.
+    the region a failed insert reaches is the vertex set of the rejected
+    edge's circuit, so it too is fixed by the edges alone.
     """
 
     def __init__(self, n, k, l):
@@ -139,6 +132,7 @@ class _PebbleGame:
         self.prev = [0] * n
         self.stamp = self.stuck = 0
         self.reached = 0
+        self.ids, self.us, self.vs = [], [], []
 
     def _grab(self, s, x1, x2):
         # BFS from s along accepted arcs for the nearest pebble outside
@@ -191,34 +185,53 @@ class _PebbleGame:
         self.out[u].append(v)
         return True
 
+    def play(self, arcs):
+        """Offer (edge id, u, v) triples in turn; yield each rejected id
+        as its insert fails.  The caller ends the game by pulling no more."""
+        insert = self.insert
+        ids, us, vs = self.ids.append, self.us.append, self.vs.append
+        for eid, u, v in arcs:
+            if insert(u, v):
+                ids(eid)
+                us(u)
+                vs(v)
+            else:
+                yield eid
+
     def region(self):
         """Vertices reachable from the ends of a just-rejected insert."""
         return {x for x, st in enumerate(self.seen) if st >= self.stuck}
 
+    def circuit(self, eid):
+        """eid's unique (k,l)-circuit, read just after play() rejects it:
+        the accepted edges B[R] with both ends in R = region(), plus eid.
 
-def _play(n, k, l, arcs, stop_on_reject=False):
-    """Offer (edge id, u, v) triples on dense vertex indices to a fresh
-    (k,l) game in turn.  Returns (game, accepted ids, rejected ids)."""
-    game = _PebbleGame(n, k, l)
-    insert = game.insert
-    accepted = []
-    rejected = []
-    for eid, u, v in arcs:
-        if insert(u, v):
-            accepted.append(eid)
-        else:
-            rejected.append(eid)
-            if stop_on_reject:
-                break
-    return game, accepted, rejected
+        When eid fails, its ends u and v hold at most l pebbles and no
+        other vertex of R (all that is reachable from u and v) holds
+        one.  Every vertex holds k pebbles and out-arcs together and no
+        arc leaves R, so B[R] has k|R| - (pebbles on u, v) >= k|R| - l
+        edges and B[R] + eid is dependent.  Sparsity makes that exactly
+        k|R| - l when B[R] is nonempty (else eid is a loop and R its one
+        vertex), so u and v hold l pebbles.  The circuit's vertex set T
+        spans k|T| - l accepted edges, so its arcs cost every pebble in
+        T but those l: no arc leaves T, and T contains R.  B[R] lies in
+        the circuit, which is B[R] + eid (Lee and Streinu, Discrete
+        Math. 2008).  It is eid's circuit against every later basis too,
+        since a basis plus one edge holds exactly one circuit.
+        """
+        region = self.region()
+        return frozenset([f for f, u, v in zip(self.ids, self.us, self.vs)
+                          if u in region and v in region] + [eid])
 
 
-def _run_game(g, k, l, order=None, stop_on_reject=False):
+def _run_game(g, k, l, order=None):
+    """(game, its rejected ids) for a fresh (k,l) game on g's edges."""
     if order is None:
         order = [e[0] for e in sorted(g.edges)]
     pos, byid = g._pos, g._byid
+    game = _PebbleGame(len(g.vertices), k, l)
     arcs = ((eid, pos[byid[eid][1]], pos[byid[eid][2]]) for eid in order)
-    return _play(len(g.vertices), k, l, arcs, stop_on_reject)
+    return game, game.play(arcs)
 
 
 def kl_basis(g, params, order=None):
@@ -226,14 +239,15 @@ def kl_basis(g, params, order=None):
     edges offered in id order (or the caller's order).  The result is a
     basis of the (k,l) count matroid restricted to g."""
     k, l = _check_params(params)
-    _, accepted, _ = _run_game(g, k, l, order)
-    return frozenset(accepted)
+    game, rejected = _run_game(g, k, l, order)
+    list(rejected)
+    return frozenset(game.ids)
 
 
 def is_kl_sparse(g, params):
     """True iff every edge of g fits, i.e. all subgraphs have m' <= kn' - l."""
     k, l = _check_params(params)
-    return not _run_game(g, k, l, stop_on_reject=True)[2]
+    return next(_run_game(g, k, l)[1], None) is None
 
 
 def is_kl_spanning(g, params):
@@ -244,20 +258,10 @@ def is_kl_spanning(g, params):
 
 
 def fundamental_circuit(g, params, basis, eid):
-    """The unique (k,l)-circuit inside basis + e, read off one pebble game.
-
-    The game offers the basis, then e.  When e fails, its ends u and v
-    hold at most l pebbles and no other vertex of R, the set its stuck
-    searches marked (all that is reachable from u and v), holds one.
-    Every vertex holds k pebbles and out-arcs together and no arc leaves
-    R, so R spans k|R| - (pebbles on u, v) >= k|R| - l basis edges and
-    B[R] + e is dependent.  Sparsity makes that exactly k|R| - l when
-    B[R] is nonempty (else e is a loop and R its one vertex), so u and v
-    hold l pebbles.  The circuit's vertex set T spans k|T| - l basis
-    edges, so its arcs cost every pebble in T but those l: no arc leaves
-    T, and T contains R.  B[R] therefore lies in the circuit, which is
-    B[R] + e (Lee and Streinu, Discrete Math. 2008).  Raises
-    NoCircuitError when e is independent of the basis.
+    """The unique (k,l)-circuit inside basis + e, read off one pebble game
+    that offers the basis, then e; _PebbleGame.circuit has the proof.
+    Raises UsageError when e is in the basis or the basis is not
+    (k,l)-sparse, and NoCircuitError when e is independent of it.
 
     >>> k4 = UncoloredMultigraph(range(4), [(0, 1), (0, 2), (0, 3),
     ...                                     (1, 2), (1, 3), (2, 3)])
@@ -268,20 +272,18 @@ def fundamental_circuit(g, params, basis, eid):
     basis = frozenset(basis)
     if eid in basis:
         raise UsageError("edge %d is in the basis" % eid)
-    game, accepted, _ = _run_game(g, k, l, sorted(basis) + [eid])
-    if not basis <= set(accepted):
-        raise UsageError("given basis is not (k,l)-sparse")
-    if eid in accepted:
+    game, rejected = _run_game(g, k, l, sorted(basis) + [eid])
+    first = next(rejected, None)
+    if first is None:
         raise NoCircuitError("edge %d is independent of the basis" % eid)
-    pos, byid = g._pos, g._byid
-    region = game.region()
-    inside = [f for f in basis if pos[byid[f][1]] in region
-              and pos[byid[f][2]] in region]
-    if inside and len(inside) != k * len(region) - l:
+    if first != eid:
+        raise UsageError("given basis is not (k,l)-sparse")
+    circuit, size = game.circuit(eid), len(game.region())
+    if len(circuit) > 1 and len(circuit) - 1 != k * size - l:
         raise InternalInvariantError(
             "stuck region spans %d basis edges on %d vertices"
-            % (len(inside), len(region)))
-    return frozenset(inside + [eid])
+            % (len(circuit) - 1, size))
+    return circuit
 
 
 # --- colored recognizers -------------------------------------------------
@@ -476,15 +478,12 @@ def _search_violation(g, family):
     half = kk // 2
     vidx = g._pos
 
-    def rejects(l):   # edges the (2,l) game rejects on the underlying graph
-        arcs = ((i, vidx[e.tail], vidx[e.head]) for i, e in enumerate(edges))
-        return len(_play(len(vidx), 2, l, arcs)[2])
-
     # flat: no piece of rank >= 1 can matter, so the walk skips them all
     if family == ROSS:
-        flat = rejects(2) == 0
+        flat = is_kl_sparse(g, (2, 2))
     else:
-        flat = rejects(1) == 0 and (family == CONE or rejects(2) <= 1)
+        flat = is_kl_sparse(g, (2, 1)) and (
+            family == CONE or m - len(kl_basis(g, (2, 2))) <= 1)
 
     ends = {}   # edge bit -> (tail vertex bit, head vertex bit, int colour)
     inc = {}    # vertex bit -> bits of its edges
@@ -507,7 +506,18 @@ def _search_violation(g, family):
             b = (pivot + half) // kk    # the pivot's pair (a, b)
             gens = [(pivot - kk * b, b)]
             if r == 2:
-                gens.append(_second_gen(g, subset_ids(emask), gens[0]))
+                # the first cycle image off the pivot's line; pot holds the
+                # piece's potentials, all set on this recursion path
+                for bit, (ub, vb, c) in ends.items():
+                    if emask & bit:
+                        x = c + pot[ub] - pot[vb]
+                        y = (x + half) // kk
+                        if pivot * y - x * b:
+                            gens.append((x - kk * y, y))
+                            break
+                else:
+                    raise InternalInvariantError(
+                        "rank-2 piece without a second generator")
             col_pieces.append((vmask, emask, 2 - off[r] - s, gens))
             return
         # a tight rank-1 cylinder piece: two disjoint ones break the count
@@ -587,16 +597,6 @@ def _search_violation(g, family):
         if found is not None:
             return subset_ids(found)
     return None
-
-
-def _second_gen(g, edge_ids, pivot):
-    """One cycle image of the piece independent of the pivot; rare path."""
-    px, py = pivot
-    for val in rho_image_basis(Subgraph(g, edge_ids)):
-        x, y = val.coords
-        if px * y - py * x != 0:
-            return (x, y)
-    raise InternalInvariantError("rank-2 piece without a second generator")
 
 
 def _combine_colored(pieces):

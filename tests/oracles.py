@@ -330,3 +330,24 @@ def arc_reach(out, starts):
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def thinnable(edges, circuit, rep):
+    """Does the union X of the edge fibers through a lift circuit hold a
+    (2,3)-circuit that meets rep's fiber at most once?  edges maps each
+    lift edge id to (x, y, base edge id); a fiber is the lift edges over
+    one base edge, and X is also the union of the circuit's translates.
+
+    One avoiding the fiber exists exactly when the rest R of X is
+    dependent.  Otherwise one through a single fiber edge o lies in
+    R + o, so it exists exactly when some o is spanned by R, that is,
+    when X has the rank of R; the action moves o to every other fiber
+    edge and fixes R, so then every o is.  Removing a whole fiber can
+    cost two ranks at once, and then no such circuit exists."""
+    bases = {edges[f][2] for f in circuit}
+    closure = [edges[f] for f in sorted(edges) if edges[f][2] in bases]
+    rest = [(x, y) for x, y, b in closure if b != edges[rep][2]]
+    if not kl_independent(rest, 2, 3):
+        return True
+    return not any(kl_independent(rest + [(x, y)], 2, 3)
+                   for x, y, b in closure if b == edges[rep][2])

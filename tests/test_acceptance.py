@@ -20,6 +20,7 @@ from gainsparse import (
     H1c,
     H2c,
     InvalidMoveError,
+    PreconditionError,
     SparsityParams,
     UncoloredMultigraph,
     apply_move,
@@ -397,90 +398,82 @@ def _is_circuit_23(mg, edge_ids):
             and all(sparse(edge_ids - {i}) for i in edge_ids))
 
 
-def _thinnable(sg, mg, circuit, rep):
-    """Whether a circuit with at most one orbit edge exists among the
-    translates at all.  Removing a whole fiber can cost two ranks at
-    once; then every circuit meets the fiber twice and thinning is
-    impossible, so such draws are discarded rather than demanded."""
-    closure = set()
-    for gamma in sg.group:
-        closure |= sg.translate_edges(gamma, circuit)
-    orbit = sg.orbit_of_edge(rep)
-    by_id = {e[0]: e for e in mg.edges}
-
-    def rank(ids):
-        sub = UncoloredMultigraph(mg.vertices, [by_id[i] for i in ids])
-        return len(kl_basis(sub, P23))
-
-    rest = closure - orbit
-    r = rank(rest)
-    return r < len(rest) or r == rank(closure)
+def _thinnable(sg, circuit, rep):
+    return oracles.thinnable({e.id: (e.x, e.y, e.base_eid) for e in sg.edges},
+                             circuit, rep)
 
 
-def _crowded_cone_instance(rng, skipped):
+def _cone_draw(rng):
     # Z/3: a tight cone base plus one surplus edge.  The surplus circuit
     # wraps through the fibers, and the lift of a tight base already spans
     # its vertex set, so the closure keeps rank after losing a fiber.
+    # Returns the crowded circuits of one draw, each with the orbit
+    # representatives to thin it at.
     spec = GroupSpec.parse("Z/3")
-    while True:
-        cert = random_construct("cone", rng.randint(2, 4),
-                                rng.randrange(10 ** 6), group=spec)
-        g = verify_certificate(cert)
-        n = g.n
-        t, h = rng.randrange(n), rng.randrange(n)
-        c = rng.randrange(3)
-        if t == h and c == 0:
-            continue
-        eid = max(e.id for e in g.edges) + 1
-        gx = ColoredGraph(spec, sorted(g.vertices),
-                          [(e.id, e.tail, e.head, e.color)
-                           for e in g.edges] + [(eid, t, h, (c,))])
-        sg = build_lift(gx)
-        mg = sg.multigraph()
-        basis = kl_basis(mg, P23)
-        rejected = sorted(set(range(sg.m)) - basis)
-        circuit = fundamental_circuit(mg, P23, basis, rejected[0])
-        crowded = [lid for lid in circuit
-                   if len(circuit & sg.orbit_of_edge(lid)) >= 2]
-        if not crowded:
-            continue
-        if not _thinnable(sg, mg, circuit, crowded[0]):
-            skipped[0] += 1
-            continue
-        return sg, mg, circuit, crowded[0]
+    cert = random_construct("cone", rng.randint(2, 4),
+                            rng.randrange(10 ** 6), group=spec)
+    g = verify_certificate(cert)
+    n = g.n
+    t, h = rng.randrange(n), rng.randrange(n)
+    c = rng.randrange(3)
+    if t == h and c == 0:
+        return []
+    eid = max(e.id for e in g.edges) + 1
+    gx = ColoredGraph(spec, sorted(g.vertices),
+                      [(e.id, e.tail, e.head, e.color)
+                       for e in g.edges] + [(eid, t, h, (c,))])
+    sg = build_lift(gx)
+    mg = sg.multigraph()
+    basis = kl_basis(mg, P23)
+    rejected = sorted(set(range(sg.m)) - basis)
+    circuit = fundamental_circuit(mg, P23, basis, rejected[0])
+    crowded = [lid for lid in circuit
+               if len(circuit & sg.orbit_of_edge(lid)) >= 2]
+    return [(sg, mg, circuit, crowded[:1])] if crowded else []
 
 
-def _crowded_dense_instance(rng, skipped):
+def _dense_draw(rng):
     # Z/5: the surplus-edge recipe never thins here.  Its closures project
     # onto base graphs sitting exactly one over the tight count, and with
     # five layers a removed fiber costs two ranks, not one.  Clustered
     # bases (few vertices, two edges over the count) leave dependence
     # behind after a fiber goes, so their wrapped circuits do thin.
     spec = GroupSpec.parse("Z/5")
+    n = rng.choice((2, 2, 3))
+    m = 2 * n + rng.choice((1, 2))
+    edges = []
+    for j in range(m):
+        while True:
+            t, h = rng.randrange(n), rng.randrange(n)
+            c = rng.randrange(5)
+            if t != h or c != 0:
+                break
+        edges.append((j, t, h, (c,)))
+    gx = ColoredGraph(spec, list(range(n)), edges)
+    sg = build_lift(gx)
+    mg = sg.multigraph()
+    basis = kl_basis(mg, P23)
+    out = []
+    for f in sorted(set(range(sg.m)) - basis):
+        circuit = fundamental_circuit(mg, P23, basis, f)
+        crowded = [lid for lid in sorted(circuit)
+                   if len(circuit & sg.orbit_of_edge(lid)) >= 2]
+        if crowded:
+            out.append((sg, mg, circuit, crowded))
+    return out
+
+
+def _crowded_instance(draw, rng, skipped):
+    """The first drawn crowded circuit that can be thinned at one of its
+    representatives.  Removing a whole fiber can cost two ranks at once;
+    then every circuit meets the fiber twice and thinning is impossible,
+    so such draws are discarded rather than demanded."""
     while True:
-        n = rng.choice((2, 2, 3))
-        m = 2 * n + rng.choice((1, 2))
-        edges = []
-        for j in range(m):
-            while True:
-                t, h = rng.randrange(n), rng.randrange(n)
-                c = rng.randrange(5)
-                if t != h or c != 0:
-                    break
-            edges.append((j, t, h, (c,)))
-        gx = ColoredGraph(spec, list(range(n)), edges)
-        sg = build_lift(gx)
-        mg = sg.multigraph()
-        basis = kl_basis(mg, P23)
-        for f in sorted(set(range(sg.m)) - basis):
-            circuit = fundamental_circuit(mg, P23, basis, f)
-            crowded = [lid for lid in sorted(circuit)
-                       if len(circuit & sg.orbit_of_edge(lid)) >= 2]
-            good = [r for r in crowded if _thinnable(sg, mg, circuit, r)]
+        for sg, mg, circuit, reps in draw(rng):
+            good = [r for r in reps if _thinnable(sg, circuit, r)]
             if good:
                 return sg, mg, circuit, good[0]
-            if crowded:
-                skipped[0] += 1
+            skipped[0] += 1
 
 
 def test_criterion_7_orbit_elimination(capsys):
@@ -489,10 +482,10 @@ def test_criterion_7_orbit_elimination(capsys):
     checked = 0
     skipped = [0]
     rng = random.Random(13)
-    for label, make, count in (("Z/3", _crowded_cone_instance, 30),
-                               ("Z/5", _crowded_dense_instance, 25)):
+    for label, draw, count in (("Z/3", _cone_draw, 30),
+                               ("Z/5", _dense_draw, 25)):
         for _ in range(count):
-            sg, mg, circuit, rep = make(rng, skipped)
+            sg, mg, circuit, rep = _crowded_instance(draw, rng, skipped)
             out = eliminate_orbit_circuit(sg, circuit, rep)
             if not (len(out & sg.orbit_of_edge(rep)) <= 1
                     and _is_circuit_23(mg, out)):
@@ -506,6 +499,41 @@ def test_criterion_7_orbit_elimination(capsys):
             "(%d unthinnable draws passed over), %d failures, %s%s"
             % (checked, skipped[0], len(bad), shown,
                "; " + "; ".join(bad) if bad else ""))
+
+
+def test_criterion_7_refuses_exactly_the_unthinnable(capsys):
+    # every crowded circuit the two recipes draw, thinnable or not:
+    # eliminate_orbit_circuit must raise PreconditionError exactly when
+    # the oracle finds no circuit to thin it to
+    t0 = time.perf_counter()
+    bad = []
+    tally = collections.Counter()
+    rng = random.Random(17)
+    for label, draw, count in (("Z/3", _cone_draw, 120),
+                               ("Z/5", _dense_draw, 50)):
+        for _ in range(count):
+            for sg, mg, circuit, reps in draw(rng):
+                for rep in reps:
+                    expect = _thinnable(sg, circuit, rep)
+                    try:
+                        out = eliminate_orbit_circuit(sg, circuit, rep)
+                        ok = expect and len(out & sg.orbit_of_edge(rep)) <= 1
+                    except PreconditionError:
+                        ok = not expect
+                    tally[label, expect] += 1
+                    if not ok and len(bad) < 5:
+                        bad.append("%s circuit %r at %d"
+                                   % (label, sorted(circuit), rep))
+    dt, shown = _clock(30, t0)
+    ok = (not bad and dt <= 30
+          and any(tally[k] for k in tally if k[1])
+          and any(tally[k] for k in tally if not k[1]))
+    _report(capsys, 7, ok,
+            "%s; %d failures, %s%s"
+            % (", ".join("%d %s %s" % (tally[k], k[0], "thinned" if k[1]
+                                       else "refused")
+                         for k in sorted(tally)),
+               len(bad), shown, "; " + "; ".join(bad) if bad else ""))
 
 
 # 8. lift-based recognition stays fast and roughly quadratic

@@ -7,8 +7,13 @@ A refactor that drops one of those names passes every other test but
 makes each traced benchmark run fail with KeyError, so this test reads
 the table and checks every pair.  spans.py is loaded from its file and
 nothing in it is run but its module body.
+
+The same table is the only reason a module may import a name it does
+not use: every other unused import is dead code, so a test reads each
+module's imports with ast.
 """
 
+import ast
 import importlib.util
 import os
 
@@ -19,6 +24,9 @@ import gainsparse.cli   # the benchmark's worker imports it too
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPANS = os.path.join(ROOT, "perfbench", "spans.py")
+SRC = os.path.join(ROOT, "src", "gainsparse")
+MODULES = sorted(name[:-3] for name in os.listdir(SRC)
+                 if name.endswith(".py") and name != "__init__.py")
 
 
 def _points():
@@ -45,3 +53,21 @@ def test_patch_point_resolves(modname, attr):
         owner = getattr(gainsparse, modname)
     assert attr in owner.__dict__, "%s has no %s" % (modname, attr)
     assert callable(owner.__dict__[attr])
+
+
+def _unused_imports(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_every_import_is_used_or_patched(modname):
+    unused = _unused_imports(os.path.join(SRC, modname + ".py"))
+    assert sorted(n for n in unused if (modname, n) not in POINTS) == []

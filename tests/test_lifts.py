@@ -125,6 +125,9 @@ def test_lift_rejects_unsupported_groups():
         bad = GroupSpec.parse("Z/%d" % k)
         with pytest.raises(UnsupportedGroupError):
             build_lift(ColoredGraph(bad, [0], [(0, 0, 0, (1,))]))
+    # Z/3xZ/5 has lifts, but the cone count is not defined over it
+    with pytest.raises(UnsupportedGroupError, match="Z/3xZ/5"):
+        cone_laman_via_lift(ColoredGraph(Z3x5, [0], [(0, 0, 0, (1, 0))]))
 
 
 def test_component_count_fixed_cases():
@@ -269,8 +272,8 @@ def test_pebble_search_work_is_linear_on_the_chain_lift():
     reached = []
     for n in (1000, 2000):
         sg = build_lift(_z3_chain(n, 1))
-        game, _, rejected = gainsparse.sparsity._play(
-            sg.n, 2, 3, zip(range(sg.m), sg.xs, sg.ys))
+        game = gainsparse.sparsity._PebbleGame(sg.n, 2, 3)
+        rejected = list(game.play(zip(range(sg.m), sg.xs, sg.ys)))
         assert rejected == []
         reached.append(game.reached)
     assert reached[1] <= 2.5 * reached[0], reached
@@ -279,6 +282,7 @@ def test_pebble_search_work_is_linear_on_the_chain_lift():
 def test_passing_lift_check_builds_no_multigraph(monkeypatch):
     # nor does a failing one: its witness is read off the stuck game
     g = _built("cone", 40, 2, Z5)
+    cyl = _built("cylinder", 30, 2)
     failing = [(family, _planted(family, 12, 2, group, how))
                for family, group in (("cone", Z5), ("cone", Z7),
                                      ("cylinder", None))
@@ -292,6 +296,7 @@ def test_passing_lift_check_builds_no_multigraph(monkeypatch):
 
     monkeypatch.setattr(UncoloredMultigraph, "__init__", counting)
     assert check(g, "cone", method="lift") == (True, True, None)
+    assert check(cyl, "cylinder", method="lift") == (True, True, None)
     for family, h in failing:
         assert not check(h, family, method="lift").sparse
     assert built == []
@@ -350,6 +355,48 @@ def _glued(n, seed):
                   b.vertices[0] + dv, (0,)))
     return ColoredGraph(Z, list(a.vertices) + [v + dv for v in b.vertices],
                         edges)
+
+
+def test_disjoint_circuit_witness_reads_one_game(monkeypatch):
+    # n = 10, m = 19: the reduced lift passes, but the (2,2) game rejects
+    # two edges, and their circuits are the witness
+    g = _glued(10, 1)
+    assert (g.n, g.m) == (10, 19)
+    assert gainsparse.lifts.lift_witness(reduce_colors(g)[0]) is None
+    games = []
+    real = gainsparse.sparsity._PebbleGame.__init__
+
+    def counting(self, *args):
+        games.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(gainsparse.sparsity._PebbleGame, "__init__", counting)
+    w = gainsparse.lifts.disjoint_circuit_witness(g)
+    assert len(games) == 1
+    monkeypatch.undo()
+
+    raw = {e.id: (e.tail, e.head, e.color.coords) for e in g.edges}
+
+    def violates(ids):
+        sub = [raw[i] for i in ids]
+        counts = oracles.colored_subset_counts(("Z",), sub)
+        return len(sub) > oracles.family_bound("cylinder", *counts)
+
+    def kl22_sparse(ids):
+        return oracles.kl_sparse_edge_subsets(
+            [raw[i][:2] for i in ids], 2, 2)
+
+    parts = list(nx.connected_components(nx.Graph(
+        [raw[i][:2] for i in w])))
+    assert len(parts) == 2
+    for part in parts:
+        c = {i for i in w if raw[i][0] in part}
+        assert not kl22_sparse(c)
+        assert all(kl22_sparse(c - {i}) for i in c)
+    assert violates(w)
+    assert not any(violates(w - {i}) for i in w)
+    assert w == check(g, "cylinder", method="lift").witness
+    assert w == check(g, "cylinder", method="brute").witness
 
 
 _CONE_ROWS = [("cone", 3, 80, 0), ("cone", 3, 55, 1), ("cone", 5, 60, 2),
@@ -468,9 +515,7 @@ def test_eliminate_keeps_disjoint_circuit_unchanged():
     assert eliminate_orbit_circuit(sg, circuit, rejected[0]) == circuit
 
 
-def test_eliminate_plays_one_game_on_a_thin_circuit(monkeypatch):
-    sg, circuit = _overlap_instance()
-    thin = [e for e in circuit if len(circuit & sg.orbit_of_edge(e)) == 1]
+def _count_games(monkeypatch):
     games = []
     real = gainsparse.sparsity._run_game
 
@@ -480,8 +525,26 @@ def test_eliminate_plays_one_game_on_a_thin_circuit(monkeypatch):
 
     monkeypatch.setattr(gainsparse.sparsity, "_run_game", counting)
     monkeypatch.setattr(gainsparse.lifts, "_run_game", counting)
+    return games
+
+
+def test_eliminate_plays_one_game_on_a_thin_circuit(monkeypatch):
+    sg, circuit = _overlap_instance()
+    thin = [e for e in circuit if len(circuit & sg.orbit_of_edge(e)) == 1]
+    games = _count_games(monkeypatch)
     assert eliminate_orbit_circuit(sg, circuit, thin[0]) == circuit
     assert len(games) == 1
+
+
+def test_eliminate_plays_three_games_on_a_crowded_circuit(monkeypatch):
+    # the two circuit guards and one search game, which names each
+    # rejected edge's circuit as it rejects it
+    sg, circuit = _overlap_instance()
+    crowded = [e for e in circuit if len(circuit & sg.orbit_of_edge(e)) >= 2]
+    games = _count_games(monkeypatch)
+    out = eliminate_orbit_circuit(sg, circuit, crowded[0])
+    assert len(out & sg.orbit_of_edge(crowded[0])) <= 1
+    assert len(games) <= 3
 
 
 def test_eliminate_reduces_overlapping_orbit():

@@ -160,6 +160,13 @@ def test_fundamental_circuit_matches_exchange_definition(n, pairs, params, rng):
     for eid in sorted(set(order) - basis):
         expected = {eid} | {f for f in basis if sparse((basis - {f}) | {eid})}
         assert fundamental_circuit(g, params, basis, eid) == expected
+    # the circuit a full game names as it rejects an edge is the edge's
+    # circuit against the final basis
+    game, rejected = gainsparse.sparsity._run_game(g, *params, order)
+    named = {f: game.circuit(f) for f in rejected}
+    assert frozenset(game.ids) == basis
+    for f, circuit in named.items():
+        assert circuit == fundamental_circuit(g, params, basis, f)
 
 
 @settings(deadline=None, max_examples=300)
