@@ -6,7 +6,9 @@ undirected edge {(i, gamma), (j, color_ij + gamma)} over each oriented
 base edge ij, one per gamma.  The group acts freely by translating the
 second coordinate, and the quotient gives back the base graph.
 SymmetricGraph lays the cover out so that fibers, the action and the
-quotient are arithmetic on ids; its docstring states the layout.
+quotient are arithmetic on ids; its docstring states the layout.  The
+cover is never stored: SymmetricGraph.arcs() generates its edges from
+the base and one fiber permutation per colour.
 
 Everything the package knows about recognizing colored sparsity in
 polynomial time routes through here: the lift of a Z/p-colored graph with
@@ -16,9 +18,10 @@ connected base has a connected lift exactly when its rho-rank is nonzero
 Z colors are first reduced modulo a safe prime that no cycle sum can
 reach; a cover above MAX_COVER is refused before it is built.
 lift_witness is the one call from a graph to the lift check: it plays
-the (2,3) game on the lift up to its first rejection and projects that
-edge's circuit, read off the game, to a violating base edge set, or
-returns None.  When cylinder spanning fails, disjoint_circuit_witness
+the (2,3) game on the lift's arcs up to its first rejection and projects
+that edge's circuit, read off the game, to a violating base edge set, or
+returns None; it holds the game's per-vertex pebbles and arcs, and no
+per-edge list.  When cylinder spanning fails, disjoint_circuit_witness
 reports the circuits of the first two edges one (2,2) game rejects,
 two disjoint circuits whose union is one.  sparsity._minimize_witness
 checks and shrinks either.
@@ -61,14 +64,16 @@ class SymmetricGraph:
     run, and the quotient divides by N.  The fixed edge order makes
     pebble runs on the lift reproducible.
 
-    The cover is stored as two flat int lists indexed by lift edge id:
-    xs[f] and ys[f] are the vertex ids of the (tail, gamma) and
-    (head, color + gamma) ends of edge f.  Pebble games run straight
-    over them.  `edges`, the same cover as LiftEdge records, and
-    `multigraph()` are built from them on demand.
+    Nothing is stored per lift vertex or per lift edge: the cover keeps
+    its base, its group and, for each colour c, the fiber permutation
+    shifts[c][gi] = idx(element gi + c).  arcs() generates the edges
+    from them in id order; `edges`, `multigraph()`, the component count
+    and the exports read that one generator, `n` and `m` are products,
+    and a pebble game over the lift holds only its own per-vertex
+    pebbles and arcs.
     """
 
-    __slots__ = ("base", "group", "xs", "ys")
+    __slots__ = ("base", "group", "shifts")
 
     def __init__(self, base):
         _require_liftable(base.spec)
@@ -76,20 +81,21 @@ class SymmetricGraph:
         self.base = base
         self.group = base.spec.elements()        # list of GroupElem
         N = len(self.group)
-        pos = base._pos
-        # one int object per lift vertex, shared by all the edge ends at it
-        ids = list(range(N * len(base.vertices)))
-        shifts = {}                              # color -> fiber permutation
-        xs, ys = [], []
-        for e in sorted(base.edges):
-            x, y, c = pos[e.tail] * N, pos[e.head] * N, e.color.coords
-            perm = shifts.get(c)
-            if perm is None:
-                perm = shifts[c] = [_shift(base.spec, gi, c) for gi in range(N)]
-            xs += ids[x:x + N]
-            ys += map(ids[y:y + N].__getitem__, perm)
-        self.xs = xs
-        self.ys = ys
+        self.shifts = {}                         # color -> fiber permutation
+        for e in base.edges:
+            c = e.color.coords
+            if c not in self.shifts:
+                self.shifts[c] = [_shift(base.spec, gi, c) for gi in range(N)]
+
+    def arcs(self):
+        """Yield (lift edge id, x, y) in id order: the edge over the j-th
+        base edge e and the group element of index gi has id j*N + gi and
+        joins x = (tail, gi) to y = (head, shifts[color][gi])."""
+        N, pos, shifts = len(self.group), self.base._pos, self.shifts
+        for j, e in enumerate(sorted(self.base.edges)):
+            x, y = pos[e.tail] * N, pos[e.head] * N
+            yield from zip(range(j * N, j * N + N), range(x, x + N),
+                           map(y.__add__, shifts[e.color.coords]))
 
     @property
     def vertices(self):
@@ -102,7 +108,7 @@ class SymmetricGraph:
 
     @property
     def m(self):
-        return len(self.xs)
+        return len(self.base.edges) * len(self.group)
 
     @property
     def edges(self):
@@ -110,7 +116,7 @@ class SymmetricGraph:
         N = len(self.group)
         beids = sorted(self.base.edge_ids())
         return [LiftEdge(f, x, y, beids[f // N], f % N)
-                for f, (x, y) in enumerate(zip(self.xs, self.ys))]
+                for f, x, y in self.arcs()]
 
     def vertex_name(self, vi):
         a, gi = divmod(vi, len(self.group))
@@ -139,8 +145,7 @@ class SymmetricGraph:
 
     def multigraph(self):
         """The lift as an uncolored multigraph on dense vertex indices."""
-        return UncoloredMultigraph(range(self.n),
-                                   zip(range(self.m), self.xs, self.ys))
+        return UncoloredMultigraph(range(self.n), self.arcs())
 
     def __repr__(self):
         return "SymmetricGraph(over %s, n=%d, m=%d)" % (self.base.spec, self.n, self.m)
@@ -177,7 +182,7 @@ def build_lift(g):
     return SymmetricGraph(g)
 
 
-def _component_count(n, pairs):
+def _component_count(n, arcs):
     root = list(range(n))
 
     def find(x):
@@ -187,7 +192,7 @@ def _component_count(n, pairs):
         return x
 
     parts = n
-    for x, y in pairs:
+    for _, x, y in arcs:
         a, b = find(x), find(y)
         if a != b:
             root[a] = b
@@ -207,7 +212,7 @@ def lift_component_count(g):
     if len(components(g.full())) != 1 or len(g.full().vertex_set) != g.n:
         raise UsageError("lift_component_count needs a connected graph")
     sg = build_lift(g)
-    return _component_count(sg.n, zip(sg.xs, sg.ys))
+    return _component_count(sg.n, sg.arcs())
 
 
 def path_color_sum(g, edge_ai, i, edge_ib):
@@ -231,10 +236,10 @@ def path_color_sum(g, edge_ai, i, edge_ib):
 
 def lift_witness(g):
     """Play the (2,3) pebble game on the lift of a graph over Z/p (p an
-    odd prime) with 2n-1 edges, straight over the lift's end arrays, up
-    to its first rejection, f.  None when g is cone-Laman, else a
+    odd prime) with 2n-1 edges, offering the arcs the lift generates,
+    up to its first rejection, f.  None when g is cone-Laman, else a
     violating base edge set P: the base edges under f's circuit D, which
-    the game names as it rejects f.
+    the game names as it rejects f by reading the arcs before f back.
 
     The cone count is 2(n' - c0) - 1 on nonempty sets, twice the frame
     matroid's rank (Zaslavsky, JCTB 1991) minus one, so cone-sparse sets
@@ -259,7 +264,7 @@ def lift_witness(g):
             "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
     sg = build_lift(g)
     game = _PebbleGame(sg.n, 2, 3)
-    f = next(game.play(zip(range(sg.m), sg.xs, sg.ys)), None)
+    f = next(game.play(sg.arcs), None)
     if f is None:
         return None
     beids, N = sorted(g.edge_ids()), len(sg.group)
@@ -424,7 +429,7 @@ def lift_to_dot(sg):
         for vi in range(a * N, a * N + N):
             lines.append("    n%d [label=\"%s\"];" % (vi, sg.vertex_name(vi)))
         lines.append("  }")
-    for x, y in zip(sg.xs, sg.ys):
+    for _, x, y in sg.arcs():
         lines.append("  n%d -- n%d;" % (x, y))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -434,6 +439,6 @@ def lift_to_text(sg):
     """The lift in the uncolored multigraph text format, vertices named
     <base>_<gamma>."""
     lines = ["vertex %s" % sg.vertex_name(vi) for vi in range(sg.n)]
-    for x, y in zip(sg.xs, sg.ys):
+    for _, x, y in sg.arcs():
         lines.append("edge %s %s" % (sg.vertex_name(x), sg.vertex_name(y)))
     return "\n".join(lines) + "\n"

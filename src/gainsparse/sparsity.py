@@ -2,14 +2,15 @@
 
 Two kinds of machinery live here.  The pebble game decides uncolored
 (k,l)-sparsity, builds bases and names each rejected edge's circuit; it
-runs on plain multigraphs, on colored graphs (colours ignored) or
-straight on the end arrays of symmetric lifts.  Each insert makes at
-most l+1 breadth-first searches, so a game is O(m(n+m)) at worst, but a
-search stops at the nearest free pebble.  On the Z/3 lifts of chains
-(vertex v joined to v-1 and v-2) the searches reach about 41 vertices
-per lift edge at n = 1000 and at n = 2000; on random-attachment bases
-they reach about 70, 120 and 180 at n = 300, 800 and 2000.  The colored
-recognizers evaluate the four per-family counts
+runs on plain multigraphs, on colored graphs (colours ignored) or on
+the arcs a symmetric lift generates, and keeps no edge list of its own.
+Each insert makes at most l+1 breadth-first searches, so a game is
+O(m(n+m)) at worst, but a search stops at the nearest free pebble.  On
+the Z/3 lifts of chains (vertex v joined to v-1 and v-2) the searches
+reach about 41 vertices per lift edge at n = 1000 and at n = 2000; on
+random-attachment bases they reach about 70, 120 and 180 at n = 300,
+800 and 2000.  The colored recognizers evaluate the four per-family
+counts
 
     Ross       m' <= 2n' - 3c0 - 2(c1 + c2)
     cone       m' <= 2n' - 3c0 - c1 - c2
@@ -109,9 +110,12 @@ class _PebbleGame:
 
     peb[v] + outdegree(v) == k at all times; an edge is accepted when l+1
     pebbles sit on its endpoints, one of which then pays for the edge.
-    play() keeps the accepted edges' ids in `ids` and their ends in `us`
-    and `vs`.  `reached` is the game's work: the number of vertices each
-    search reached, summed over every search so far.  `stuck` is the
+    The game holds its per-vertex pebbles and arcs, the source of arcs
+    play() was given and the set of ids it rejected, and no copy of the
+    edges it accepted: those are the offered edges that were not
+    rejected, which accepted() reads back from the source.  `reached` is
+    the game's work: the number of vertices each search reached, summed
+    over every search so far.  `stuck` is the
     stamp of the last rejected insert's first search; until the next
     insert, region() and circuit() read what its failed searches marked.
 
@@ -132,7 +136,8 @@ class _PebbleGame:
         self.prev = [0] * n
         self.stamp = self.stuck = 0
         self.reached = 0
-        self.ids, self.us, self.vs = [], [], []
+        self.arcs = None       # set by play()
+        self.rejected = set()
 
     def _grab(self, s, x1, x2):
         # BFS from s along accepted arcs for the nearest pebble outside
@@ -186,17 +191,27 @@ class _PebbleGame:
         return True
 
     def play(self, arcs):
-        """Offer (edge id, u, v) triples in turn; yield each rejected id
-        as its insert fails.  The caller ends the game by pulling no more."""
-        insert = self.insert
-        ids, us, vs = self.ids.append, self.us.append, self.vs.append
-        for eid, u, v in arcs:
-            if insert(u, v):
-                ids(eid)
-                us(u)
-                vs(v)
-            else:
+        """Offer the (edge id, u, v) triples of arcs(), a zero-argument
+        callable that gives the same triples each time it is called, in
+        turn; yield each rejected id as its insert fails.  The caller
+        ends the game by pulling no more."""
+        self.arcs = arcs
+        insert, reject = self.insert, self.rejected.add
+        for eid, u, v in arcs():
+            if not insert(u, v):
+                reject(eid)
                 yield eid
+
+    def accepted(self, stop=None):
+        """The accepted (edge id, u, v) triples offered before edge
+        `stop`, read back from play()'s arcs; with no `stop`, all of
+        them, once the game has offered every arc."""
+        rejected = self.rejected
+        for arc in self.arcs():
+            if arc[0] == stop:
+                return
+            if arc[0] not in rejected:
+                yield arc
 
     def region(self):
         """Vertices reachable from the ends of a just-rejected insert."""
@@ -220,17 +235,21 @@ class _PebbleGame:
         since a basis plus one edge holds exactly one circuit.
         """
         region = self.region()
-        return frozenset([f for f, u, v in zip(self.ids, self.us, self.vs)
+        return frozenset([f for f, u, v in self.accepted(eid)
                           if u in region and v in region] + [eid])
 
 
 def _run_game(g, k, l, order=None):
-    """(game, its rejected ids) for a fresh (k,l) game on g's edges."""
-    if order is None:
-        order = [e[0] for e in sorted(g.edges)]
+    """(game, its rejected ids) for a fresh (k,l) game on g's edges,
+    offered in id order or the caller's order."""
+    order = ([e[0] for e in sorted(g.edges)] if order is None
+             else list(order))
     pos, byid = g._pos, g._byid
+
+    def arcs():
+        return ((eid, pos[byid[eid][1]], pos[byid[eid][2]]) for eid in order)
+
     game = _PebbleGame(len(g.vertices), k, l)
-    arcs = ((eid, pos[byid[eid][1]], pos[byid[eid][2]]) for eid in order)
     return game, game.play(arcs)
 
 
@@ -241,7 +260,7 @@ def kl_basis(g, params, order=None):
     k, l = _check_params(params)
     game, rejected = _run_game(g, k, l, order)
     list(rejected)
-    return frozenset(game.ids)
+    return frozenset(f for f, _, _ in game.accepted())
 
 
 def is_kl_sparse(g, params):

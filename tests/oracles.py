@@ -351,3 +351,25 @@ def thinnable(edges, circuit, rep):
         return True
     return not any(kl_independent(rest + [(x, y)], 2, 3)
                    for x, y, b in closure if b == edges[rep][2])
+
+
+def lift_arcs(g):
+    """The cover of a colored graph over a finite group as sorted
+    (lift edge id, x, y) triples, written out from the id rule.  Number
+    the group elements in spec.elements() order, N of them.  Vertex
+    (i, gamma) is a*N + idx(gamma) for i the a-th entry of g.vertices;
+    the edge over the j-th base edge by id and gamma is j*N + idx(gamma)
+    and joins (tail, gamma) to (head, color + gamma)."""
+    elems = list(g.spec.elements())
+    order = list(g.vertices)
+    N = len(elems)
+
+    def vertex(i, gamma):
+        return order.index(i) * N + elems.index(gamma)
+
+    arcs = []
+    for j, e in enumerate(sorted(g.edges, key=lambda e: e.id)):
+        for gamma in elems:
+            arcs.append((j * N + elems.index(gamma), vertex(e.tail, gamma),
+                         vertex(e.head, e.color + gamma)))
+    return sorted(arcs)
