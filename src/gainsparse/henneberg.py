@@ -386,18 +386,20 @@ def _pick_reverse(work, family, fam):
     return None
 
 
-def _rebind_split(mv, prev, sim):
+def _rebind_split(mv, target, sim):
     """Point mv's split reference at the right edge of sim.
 
-    prev and sim agree up to reorienting edges with negated colors but
-    not on edge ids, so the split edge is re-identified by endpoints and
-    normalized color, a key that is unique among the parallels of any
-    sparse graph.  When sim stores the edge in the opposite orientation
-    the an/bn roles swap, which keeps the split identity true.
+    target is the split edge as the strip recorded it, the one record of
+    the predecessor graph this needs (None for h1c and h1cp).  That
+    predecessor and sim agree up to reorienting edges with negated
+    colors but not on edge ids, so the split edge is re-identified by
+    endpoints and normalized color, a key that is unique among the
+    parallels of any sparse graph.  When sim stores the edge in the
+    opposite orientation the an/bn roles swap, which keeps the split
+    identity true.
     """
     if mv.kind != "h2c":
         return mv
-    target = prev.edge(mv.split)
     key = normalized_triple(target)
     hits = [f for f in sim.edges if normalized_triple(f) == key]
     if len(hits) != 1:
@@ -424,9 +426,12 @@ def deconstruct(g, family):
     graph failing either raises PreconditionError.  After that a
     candidate is accepted on the test _pick_reverse proves enough for its
     kind: the whole-graph count for h1c and h1cp, the full check for
-    h2c.  The forward replay then rebuilds the graph from the base
-    to fix up h2c split ids, and the result is checked against g
-    edge-for-edge (orientation free) before return.
+    h2c.  Each step records only its move and, for h2c, the split edge
+    as the predecessor holds it; the predecessor itself is dropped once
+    the next step is picked, so the strip holds one graph at a time and
+    its memory is linear in m.  The forward replay then rebuilds the
+    graph from the base to fix up h2c split ids, and the result is
+    checked against g edge-for-edge (orientation free) before return.
     """
     fam = family_def(family)
     if g.spec.variant != fam.variant:
@@ -452,8 +457,8 @@ def deconstruct(g, family):
             raise InternalInvariantError(
                 "tight %s graph on %d vertices admits no reverse move"
                 % (family, work.n))
-        trail.append(step)
-        work = step[1]
+        mv, work = step
+        trail.append((mv, work.edge(mv.split) if mv.kind == "h2c" else None))
     # the stripped base keeps g's vertex ids but its edge ids are
     # renumbered 0..m-1, matching what parsing the serialized
     # certificate would produce; replay ids then agree with the ids
@@ -463,8 +468,8 @@ def deconstruct(g, family):
                          for i, e in enumerate(sorted(work.edges, key=lambda e: e.id))])
     moves = []
     sim = base
-    for mv, prev in reversed(trail):
-        mv = _rebind_split(mv, prev, sim)
+    for mv, target in reversed(trail):
+        mv = _rebind_split(mv, target, sim)
         sim = apply_move(sim, mv)
         moves.append(mv)
     if not same_up_to_flip(sim, g):

@@ -1,6 +1,8 @@
 """Henneberg moves, certificates, deconstruction, and random generation."""
 
+import hashlib
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -573,3 +575,48 @@ def test_failed_final_check_is_an_internal_error(monkeypatch):
         verify_certificate(cert)
     # a bare base is tight by definition and takes no check
     assert verify_certificate(cert._replace(moves=())) == cert.base
+
+
+# the strip: pinned output and linear memory
+
+# SHA-256 of the serialized deconstructions of 20 random_construct graphs
+# per case.  They were taken with a strip that kept every predecessor
+# graph, so they pin that recording one edge per step changed no output.
+STRIP_DIGESTS = {
+    ("cone", "Z/3"): "4bc02a1d19391e611ea1cf38692140b6d6b7e02ca2d0e4b29fb2f268ea423f96",
+    ("cone", "Z/5"): "188b7fc2d43ace7b04740501a28077db248527018f500c409ea541faed268cbe",
+    ("cone", "Z/7"): "ec1842122a39bfda25acc231ae23ba6c490cce7498d71262eedd533671f48bfa",
+    ("cylinder", "Z"): "a3314b5b0e0317f34b46444b36b58cde3c65cb7043706d39e25deb15eac3bb27",
+    ("ross", "Z^2"): "e40350db63236b79df385fa1ca86dcd97194c9ceb0a82c210990bc259c6752f7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIP_DIGESTS),
+                         ids=["%s-%s" % c for c in sorted(STRIP_DIGESTS)])
+def test_deconstruct_output_is_pinned(case):
+    family, group = case
+    digest = hashlib.sha256()
+    for seed in range(20):
+        # Ross stays within the brute-force budget: at most 8 moves
+        steps = seed % 9 if family == "ross" else 2 + 2 * seed
+        cert = random_construct(family, steps, seed,
+                                group=GroupSpec.parse(group))
+        back = deconstruct(verify_certificate(cert), family)
+        digest.update(serialize_certificate(back).encode())
+    assert digest.hexdigest() == STRIP_DIGESTS[case]
+
+
+def test_deconstruct_holds_one_graph():
+    # each step keeps its move and at most one edge, not the predecessor
+    # graph: the 200-move strip's traced peak reads about 0.4 MB, and
+    # 6.2-6.5 MB with every predecessor kept
+    g = verify_certificate(random_construct("cone", 200, 1,
+                                            group=GroupSpec.cyclic(3)))
+    tracemalloc.start()
+    try:
+        back = deconstruct(g, "cone")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back.moves) == 200
+    assert peak < 1.5e6, peak
