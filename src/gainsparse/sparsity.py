@@ -331,133 +331,29 @@ def family_bound(family, counts):
     raise UsageError("unknown family %r" % (family,))
 
 
-def _excess(g, family, edge_ids):
-    """How far the edges break the family count: m' minus the bound."""
-    c = subgraph_counts(Subgraph(g, edge_ids))
-    return c.m_prime - family_bound(family, c)
-
-
-def _droppable(g, ids):
-    """The edges of ids whose removal can lower a Ross, cone or cylinder
-    bound: the bridges, and the edges whose removal leaves their
-    component balanced.  Each family reads a component's image only as
-    balanced (zero) or not, and cylinder's r is 1 exactly when some
-    component is unbalanced, so an edge that is neither keeps n', the
-    components and every term of the bound.  The edge alone at one of
-    its ends is in the set too: a plain one is a bridge, and a loop
-    alone at its vertex lowers the bound only when it is its
-    component's one unbalanced edge.
-
-    One iterative depth-first search finds the bridges (low points) and
-    a spanning tree with a potential at every vertex, colours read as
-    the ints of _int_colors.  A non-tree edge closes the fundamental
-    cycle of value colour + pot(tail) - pot(head), and these values
-    generate its component's image.  Removing a non-tree edge keeps the
-    tree, so it leaves the component balanced only when it is the one
-    unbalanced non-tree edge.  Removing a tree edge that is no bridge
-    leaves every fundamental cycle that avoids it, so the component
-    stays unbalanced unless every unbalanced cycle runs through it.  In
-    a depth-first tree every non-tree edge joins a vertex to one of its
-    ancestors, so that count is a subtree sum: +1 at the lower end of
-    each unbalanced non-tree edge and -1 at the upper end.  O(|ids|)."""
-    edges = [g.edge(i) for i in sorted(ids)]
-    ec, zmod, _ = _int_colors(g.spec, edges)
-    adj = {}
-    for i, e in enumerate(edges):
-        adj.setdefault(e.tail, []).append(i)
-        if e.head != e.tail:
-            adj.setdefault(e.head, []).append(i)
-    disc, low, pot, up, top = {}, {}, {}, {}, {}
-    order = []
-    out = set()
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(order)
-        order.append(root)
-        pot[root], up[root], top[root] = 0, None, root
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            x, todo = stack[-1]
-            for i in todo:
-                e = edges[i]
-                if i == up[x] or e.tail == e.head:
-                    continue
-                y = e.head if e.tail == x else e.tail
-                if y in disc:
-                    low[x] = min(low[x], disc[y])
-                    continue
-                disc[y] = low[y] = len(order)
-                order.append(y)
-                pot[y] = pot[x] + ec[i] if e.tail == x else pot[x] - ec[i]
-                up[y], top[y] = i, root
-                stack.append((y, iter(adj[y])))
-                break
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[x])
-                    if low[x] > disc[p]:
-                        out.add(edges[up[x]].id)
-    tree = set(up.values())
-    through = dict.fromkeys(order, 0)
-    total = dict.fromkeys(order, 0)    # read at component roots only
-    lone = {}    # component root -> its one unbalanced non-tree edge
-    for i, e in enumerate(edges):
-        if i in tree or (ec[i] + pot[e.tail] - pot[e.head]) % zmod == 0:
-            continue
-        above, below = sorted((e.tail, e.head), key=disc.get)
-        through[below] += 1
-        through[above] -= 1
-        total[top[above]] += 1
-        lone[top[above]] = e.id
-    for x in reversed(order):
-        if up[x] is None:
-            continue
-        e = edges[up[x]]
-        through[e.head if e.tail == x else e.tail] += through[x]
-        if through[x] == total[top[x]] > 0:
-            out.add(e.id)
-    out.update(eid for r, eid in lone.items() if total[r] == 1)
-    return out
+def _subset_violates(g, family, edge_ids):
+    sub = Subgraph(g, edge_ids)
+    c = subgraph_counts(sub)
+    return c.m_prime > family_bound(family, c)
 
 
 def _minimize_witness(g, family, witness):
     """Drop edges (ascending id, to a fixpoint) while the rest violates.
     The one minimiser and guard of every engine: a witness that does not
-    break g's own count raises InternalInvariantError.
-
-    Most drop tests need no count.  Say W breaks its bound b(W) by
-    exactly one edge, |W| = b(W) + 1.  Then W - e has b(W) edges, so it
-    violates exactly when b(W - e) < b(W); for Ross, cone and cylinder
-    only the edges _droppable names can lower the bound, and every other
-    edge is skipped.  Each drop changes W, so the set is found again
-    after it.  With an excess of two or more, and for colored, every
-    edge takes the count.  Either way each drop is the one the plain
-    loop would make, so the result is the same set.
-    """
+    break g's own count raises InternalInvariantError."""
     w = set(witness)
-    excess = _excess(g, family, w)
-    if excess <= 0:
+    if not _subset_violates(g, family, w):
         raise InternalInvariantError(
             "witness %r does not break the %s count" % (sorted(w), family))
     changed = True
     while changed:
         changed = False
-        droppable = None
         for eid in sorted(w):
             if len(w) <= 1:
                 break
-            if excess == 1 and family != COLORED:
-                if droppable is None:
-                    droppable = _droppable(g, w)
-                if eid not in droppable:
-                    continue
-            rest = _excess(g, family, w - {eid})
-            if rest > 0:
+            if _subset_violates(g, family, w - {eid}):
                 w.remove(eid)
-                excess, droppable, changed = rest, None, True
+                changed = True
     return frozenset(w)
 
 

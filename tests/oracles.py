@@ -248,32 +248,6 @@ def colored_verdict(g, family):
     return True, tight
 
 
-def subset_excess(g, family, ids):
-    """m' minus the family bound for the edges ids of a package
-    ColoredGraph, every count recomputed here from scratch."""
-    group = describe_group(g.spec)
-    sub = [(e.tail, e.head, tuple(e.color.coords))
-           for e in g.edges if e.id in ids]
-    return len(sub) - family_bound(family, *colored_subset_counts(group, sub))
-
-
-def minimize_witness(g, family, witness):
-    """The fixpoint loop the package's minimiser replaced: pass over the
-    set in ascending id order, dropping each edge while the rest still
-    breaks the family count, until a pass drops nothing."""
-    w = set(witness)
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(w):
-            if len(w) <= 1:
-                break
-            if subset_excess(g, family, w - {eid}) > 0:
-                w.remove(eid)
-                changed = True
-    return frozenset(w)
-
-
 # --- the lift route's old witness shrink ----------------------------------
 
 

@@ -10,8 +10,8 @@ The lift route (check(..., method="lift")) is checked against itself
 above the brute-force budget of 24 edges.  Its inputs are certificate
 graphs (random_construct, replayed) with one plain edge rewired or
 recoloured, so m = 2n - 1 still holds: cone over Z/3, Z/5 and Z/7 at
-n = 50-300, one cone case over Z/3 at n = 1000, and cylinder over Z at
-n = 20-60.  Cylinder stays small because its cover grows with m(n + m).
+n = 50-300 and cylinder over Z at n = 20-60.  Cylinder stays small
+because its cover grows with m(n + m).
 
 The brute route (method="brute") is checked on Ross certificate graphs
 over Z^2 with one plain edge rewired, recoloured or overwritten by a
@@ -32,13 +32,12 @@ import pytest
 from gainsparse import (ColoredGraph, GroupSpec, Subgraph, apply_move, check,
                         family_bound, random_construct, subgraph_counts)
 from gainsparse.groups import CYCLIC, CYCLIC_PQ, FREE2
-from gainsparse.sparsity import _minimize_witness
 
 # (family, modulus or None for Z, n, seed, edit).  Most recolours and
 # some rewires stay tight, so the cases mix both verdicts.  A violation
-# costs 5 minimality checks, one count per witness edge each, so each is
-# quadratic in the witness; at n = 300 (a 322-edge witness) that is about
-# 5 s, so the violations here stop at n = 200.
+# costs 11 witness shrinks or minimality checks, each quadratic in the
+# witness; at n = 300 (a 322-edge witness) that is about 10 s, so the
+# violations here stop at n = 200.
 CASES = [
     ("cone", 3, 300, 2, "recolour"),
     ("cone", 3, 150, 3, "rewire"),
@@ -198,24 +197,17 @@ def test_brute_inputs_include_each_verdict_per_family():
 
 
 def _check_invariant(family, method, g, v, transform, seed):
-    """Check the verdict on the transformed graph h; return h and the
-    witness carried into it (None when g is sparse), which must break
-    the count in h."""
     h, emap = transform(g, random.Random(seed))
     assert h.m == g.m and h.n == g.n
     w = check(h, family, method=method)
     assert (w.sparse, w.tight) == (v.sparse, v.tight)
     if v.sparse:
-        return h, None
+        return
     mapped = frozenset(emap[e] for e in v.witness)
     assert _violates(h, family, mapped)
-    return h, mapped
-
-
-def _assert_minimal(g, family, ids):
-    # one count per edge of a witness; a sparse verdict has none
-    for e in ids or ():
-        assert not _violates(g, family, ids - {e}), "edge %d is not needed" % e
+    for e in mapped:
+        assert not _violates(h, family, mapped - {e}), \
+            "edge %d is not needed" % e
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS,
@@ -223,32 +215,7 @@ def _assert_minimal(g, family, ids):
 @pytest.mark.parametrize("case", CASES, ids=["%s-%s-n%d-s%d-%s" % c
                                              for c in CASES])
 def test_lift_verdict_is_invariant(case, transform):
-    h, mapped = _check_invariant(case[0], "lift", *_input(case), transform,
-                                 case[3])
-    _assert_minimal(h, case[0], mapped)
-
-
-# A cone case at n = 1000 whose rewire leaves a 940-edge witness.  One
-# count per witness edge costs about 5 s at this size, so that check runs
-# once, on the untransformed witness.  Each transform reads minimality
-# off the minimiser instead: it returns a violating set unchanged exactly
-# when no edge can drop, and tests/test_sparsity.py checks it against the
-# plain loop of tests/oracles.py.
-LARGE_CASE = ("cone", 3, 1000, 2, "rewire")
-
-
-def test_large_lift_witness_is_minimal():
-    g, v = _input(LARGE_CASE)
-    assert len(v.witness) > 900 and _violates(g, "cone", v.witness)
-    _assert_minimal(g, "cone", v.witness)
-
-
-@pytest.mark.parametrize("transform", TRANSFORMS,
-                         ids=[t.__name__.strip("_") for t in TRANSFORMS])
-def test_large_lift_verdict_is_invariant(transform):
-    h, mapped = _check_invariant("cone", "lift", *_input(LARGE_CASE),
-                                 transform, LARGE_CASE[3])
-    assert _minimize_witness(h, "cone", mapped) == mapped
+    _check_invariant(case[0], "lift", *_input(case), transform, case[3])
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS,
@@ -256,9 +223,8 @@ def test_large_lift_verdict_is_invariant(transform):
 @pytest.mark.parametrize("case", BRUTE_CASES,
                          ids=["%s-%s-n%d-s%d-%s" % c for c in BRUTE_CASES])
 def test_brute_verdict_is_invariant(case, transform):
-    h, mapped = _check_invariant(case[0], "brute", *_brute_input(case),
-                                 transform, case[3])
-    _assert_minimal(h, case[0], mapped)
+    _check_invariant(case[0], "brute", *_brute_input(case), transform,
+                     case[3])
 
 
 # (family, group, n, seed): certificate graphs of 15-16 edges, so that

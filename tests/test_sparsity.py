@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import gainsparse.sparsity
 from gainsparse import (
@@ -25,8 +25,7 @@ from gainsparse import (
     verdict_line,
 )
 from oracles import arc_reach, colored_subset_counts, colored_verdict, \
-    describe_group, family_bound, kl_sparse_edge_subsets, minimize_witness, \
-    subset_excess
+    describe_group, family_bound, kl_sparse_edge_subsets
 
 P21 = SparsityParams(2, 1)
 P22 = SparsityParams(2, 2)
@@ -353,71 +352,6 @@ def test_minimize_witness_guards_the_count():
             minimize(g, "cone", w)
     assert minimize(g, "cone", {1, 2, 3, 4}) == {1, 2, 3, 4}
     assert minimize(g, "cone", {3, 4, 5}) == {4, 5}
-
-
-def _violating_set(seed, family, spec, want_one):
-    """A graph of two clusters with few edges between them, so that some
-    are bridges, and colours near zero; and a set of its edges that
-    breaks the family count.  Edges are dropped in random order while
-    the set still violates, until its excess is 1 when want_one, else
-    while it stays at 2 or more.  (graph, set, excess), or None when the
-    whole graph does not violate."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 7)
-    side = rng.randint(1, n - 1)
-    edges = []
-    for i in range(rng.randint(n, 15)):
-        if rng.random() < 0.15:
-            u, v = rng.randrange(side), rng.randrange(side, n)
-        else:
-            lo, hi = rng.choice(((0, side), (side, n)))
-            u, v = rng.randrange(lo, hi), rng.randrange(lo, hi)
-        c = tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(spec.ncoords))
-        edges.append((i, u, v, c))
-    g = ColoredGraph(spec, range(n), edges)
-    w = set(g.edge_ids())
-    excess = subset_excess(g, family, w)
-    if excess <= 0:
-        return None
-    order = sorted(w)
-    rng.shuffle(order)
-    for eid in order:
-        if want_one and excess == 1:
-            break
-        rest = subset_excess(g, family, w - {eid})
-        if rest >= (1 if want_one else 2):
-            w.remove(eid)
-            excess = rest
-    return g, w, excess
-
-
-@pytest.mark.parametrize("fi", range(len(_FAMILY_SPECS)))
-def test_minimiser_inputs_reach_each_excess(fi):
-    family, spec = _FAMILY_SPECS[fi]
-    seen = set()
-    for seed in range(40):
-        for want_one in (True, False):
-            found = _violating_set(seed, family, spec, want_one)
-            if found:
-                seen.add(min(found[2], 2))
-    assert seen == {1, 2}
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.integers(min_value=0, max_value=len(_FAMILY_SPECS) - 1),
-       st.integers(min_value=0, max_value=10**6), st.booleans())
-@example(1, 1, True)    # drops a bridge
-@example(1, 38, True)   # drops a tree edge every unbalanced cycle crosses
-@example(1, 0, True)    # drops the one unbalanced non-tree edge
-def test_minimiser_matches_the_oracle_loop(fi, seed, want_one):
-    # the drop tests the minimiser skips at excess 1 are the ones the
-    # plain loop would fail, so both reach the same set
-    family, spec = _FAMILY_SPECS[fi]
-    found = _violating_set(seed, family, spec, want_one)
-    if found:
-        g, w, _ = found
-        assert (gainsparse.sparsity._minimize_witness(g, family, w)
-                == minimize_witness(g, family, w))
 
 
 # The enumeration adds colours as ints (see sparsity._int_colors): Z^2
