@@ -49,7 +49,8 @@ def _load_graph(path):
 
 def _cmd_check(args):
     if os.path.isdir(args.file):
-        names = sorted(f for f in os.listdir(args.file) if not f.startswith("."))
+        names = sorted(f for f in os.listdir(args.file) if not f.startswith(".")
+                       and not os.path.isdir(os.path.join(args.file, f)))
         if not names:
             raise UsageError("no files in %s" % args.file)
         inputs = [(name + ": ", os.path.join(args.file, name)) for name in names]

@@ -56,8 +56,8 @@ class ColoredGraph:
     ``vertices`` is an ordered collection of integer ids.  ``edges`` may be
     given as (tail, head, color) triples, in which case ids 0..m-1 are
     assigned in order, or as (id, tail, head, color) with explicit unique
-    ids.  Colors may be GroupElem values or raw coordinates (an int, or a
-    pair for the rank-2 groups), which get wrapped.
+    ids.  Colors go through spec.elem: GroupElem values of spec, or raw
+    coordinates (an int, or a pair for the rank-2 groups).
     """
 
     __slots__ = ("spec", "vertices", "edges", "_byid", "_pos")
@@ -73,10 +73,8 @@ class ColoredGraph:
                 eid, u, v, c = e
             else:
                 raise UsageError("edge must be (tail, head, color) or (id, tail, head, color)")
-            if not isinstance(c, GroupElem):
-                c = spec.elem(c) if spec.ncoords == 1 and isinstance(c, int) else spec.elem(*c)
-            if c.spec != spec:
-                raise UsageError("edge color belongs to %s, graph is over %s" % (c.spec, spec))
+            if not isinstance(c, GroupElem) or c.spec != spec:
+                c = spec.elem(c)
             out.append(Edge(int(eid), int(u), int(v), c))
         self.edges = tuple(out)
         self._pos, self._byid = _index_graph(self.vertices, self.edges)

@@ -141,9 +141,24 @@ class GroupSpec:
         return GroupElem(self, (0,) * self.ncoords)
 
     def elem(self, *coords):
-        """Build an element, reducing cyclic coordinates canonically."""
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
+        """The one colour coercion: an element from its coordinates
+        (``elem(3)``, ``elem(1, 2)``, or one tuple or list of them),
+        reducing cyclic coordinates canonically.  An element of this
+        group comes back unchanged; another group's element, or the
+        wrong number of coordinates, is a UsageError.
+
+        >>> z5 = GroupSpec.cyclic(5)
+        >>> str(z5.elem(7)), z5.elem(z5.elem(2)) == z5.elem((2,))
+        ('2', True)
+        """
+        if len(coords) == 1:
+            c = coords[0]
+            if isinstance(c, GroupElem):
+                if c.spec != self:
+                    raise UsageError("color %s does not live in %s" % (c, self))
+                return c
+            if isinstance(c, (tuple, list)):
+                coords = tuple(c)
         if len(coords) != self.ncoords:
             raise UsageError("%s takes %d coordinate(s), got %r" % (self, self.ncoords, coords))
         return GroupElem(self, coords)

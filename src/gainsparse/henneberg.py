@@ -47,8 +47,8 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
 from . import groups as G
 from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
                      parse_colored_graph, serialize_colored_graph)
-from .lifts import (path_color_sum, reduce_colors, odd_prime_cyclic,
-                    lift_witness, disjoint_circuit_witness)
+from .lifts import (reduce_colors, odd_prime_cyclic, lift_witness,
+                    disjoint_circuit_witness)
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
@@ -105,24 +105,24 @@ def family_def(name):
 Certificate = namedtuple("Certificate", ["family", "base", "moves"])
 
 
-def _coerce(spec, value):
-    """Accept a GroupElem of the right group, or raw coordinates."""
-    if isinstance(value, G.GroupElem):
-        if value.spec != spec:
-            raise UsageError("color %s does not live in %s" % (value, spec))
-        return value
-    if isinstance(value, tuple):
-        return spec.elem(*value)
-    return spec.elem(value)
+def _check_group(fam, spec):
+    if spec.variant != fam.variant:
+        raise UsageError("family %s expects %s colors, got %s"
+                         % (fam.name, fam.variant, spec))
 
 
 def apply_move(g, m):
     """Apply a forward move, returning the new graph.
 
-    New edges are appended in the order an, bn (then cn), with ids
-    continuing from the current maximum; h2c removes its split edge
-    first, so a replay starting from the same base is reproducible
-    id-for-id.
+    Every kind takes one path: n must be new, the edges into n come from
+    vertices of g (for h2c, the split edge's tail and head, then c), each
+    color goes through g.spec.elem, and two of those edges from one
+    vertex must differ in color.  Only the lollipop's nonzero loop and
+    h2c's split identity can - cbn = color(split) are checked per kind,
+    before the parallel test.  New edges are appended in the order an,
+    bn (then cn, or h1cp's loop), with ids continuing from the current
+    maximum; h2c removes its split edge first, so a replay starting from
+    the same base is reproducible id-for-id.
 
     >>> from . import groups
     >>> z5 = groups.GroupSpec.cyclic(5)
@@ -134,40 +134,33 @@ def apply_move(g, m):
     if g.has_vertex(m.n):
         raise UsageError("new vertex id %d already in use" % m.n)
     if m.kind == "h1c":
-        for v in (m.a, m.b):
-            if not g.has_vertex(v):
-                raise UsageError("no vertex %d to attach to" % v)
-        ca, cb = _coerce(g.spec, m.ca), _coerce(g.spec, m.cb)
-        if m.a == m.b and ca == cb:
-            raise InvalidMoveError(
-                "parallel edges %d -> %d must get distinct colors" % (m.a, m.n))
-        out = g.with_vertex(m.n).with_edges([(m.a, m.n, ca), (m.b, m.n, cb)])
+        ends, colors = [m.a, m.b], [m.ca, m.cb]
     elif m.kind == "h1cp":
-        if not g.has_vertex(m.a):
-            raise UsageError("no vertex %d to attach to" % m.a)
-        ca, cl = _coerce(g.spec, m.ca), _coerce(g.spec, m.loop)
-        if cl == g.spec.zero():
-            raise InvalidMoveError("lollipop loop color must be nonzero")
-        out = g.with_vertex(m.n).with_edges([(m.a, m.n, ca), (m.n, m.n, cl)])
+        ends, colors = [m.a], [m.ca, m.loop]
     elif m.kind == "h2c":
         split = g.edge(m.split)
-        if not g.has_vertex(m.c):
-            raise UsageError("no vertex %d to attach to" % m.c)
-        can = _coerce(g.spec, m.can)
-        cbn = _coerce(g.spec, m.cbn)
-        ccn = _coerce(g.spec, m.ccn)
-        if can - cbn != split.color:
-            raise InvalidMoveError(
-                "split identity fails: %s - %s is not the color %s of edge %d"
-                % (can, cbn, split.color, m.split))
-        new = [(split.tail, m.n, can), (split.head, m.n, cbn), (m.c, m.n, ccn)]
-        for (u1, _, c1), (u2, _, c2) in combinations(new, 2):
-            if u1 == u2 and c1 == c2:
-                raise InvalidMoveError(
-                    "parallel edges %d -> %d must get distinct colors" % (u1, m.n))
-        out = g.without_edge(m.split).with_vertex(m.n).with_edges(new)
+        ends, colors = [split.tail, split.head, m.c], [m.can, m.cbn, m.ccn]
     else:
         raise UsageError("unknown move kind %r" % (getattr(m, "kind", None),))
+    for v in ends:
+        if not g.has_vertex(v):
+            raise UsageError("no vertex %d to attach to" % v)
+    colors = [g.spec.elem(c) for c in colors]
+    if m.kind == "h1cp":
+        if colors[1] == g.spec.zero():
+            raise InvalidMoveError("lollipop loop color must be nonzero")
+        ends.append(m.n)
+    elif m.kind == "h2c" and colors[0] - colors[1] != split.color:
+        raise InvalidMoveError(
+            "split identity fails: %s - %s is not the color %s of edge %d"
+            % (colors[0], colors[1], split.color, m.split))
+    new = [(u, m.n, c) for u, c in zip(ends, colors)]
+    for (u1, _, c1), (u2, _, c2) in combinations(new, 2):
+        if u1 == u2 and c1 == c2:
+            raise InvalidMoveError(
+                "parallel edges %d -> %d must get distinct colors" % (u1, m.n))
+    out = g.without_edge(m.split) if m.kind == "h2c" else g
+    out = out.with_vertex(m.n).with_edges(new)
     # every move adds one vertex and two edges net, and with the local
     # rules above the forward theorem keeps every subgraph count too, so
     # a tight g gives a tight out and callers need no family check
@@ -284,38 +277,32 @@ def _other(e, v):
     return e.head if e.tail == v else e.tail
 
 
+# (loops, non-loop edges) at a vertex -> the move that can have added
+# it.  A loop counts two toward the degree, so these are the degree-2
+# and degree-3 shapes.
+_SHAPES = {(0, 2): "h1c", (1, 1): "h1cp", (0, 3): "h2c"}
+
+
 def _degree_pattern(g, v):
-    """Which reverse move fits v: "h1c" for exactly two non-loop edges,
-    "h1cp" for one loop plus one other edge, "h2c" for three non-loop
-    edges, else None.  A loop counts two toward the degree, so these are
-    the degree-2 and degree-3 shapes."""
-    loops = plain = 0
-    for eid in g.incident(v):
-        e = g.edge(eid)
-        if e.tail == e.head:
-            loops += 1
-        else:
-            plain += 1
-    if loops == 0 and plain == 2:
-        return "h1c"
-    if loops == 1 and plain == 1:
-        return "h1cp"
-    if loops == 0 and plain == 3:
-        return "h2c"
-    return None
+    """(v's incident edge records, the move _SHAPES fits them, or None)."""
+    inc = [g.edge(eid) for eid in g.incident(v)]
+    loops = sum(e.tail == e.head for e in inc)
+    return inc, _SHAPES.get((loops, len(inc) - loops))
 
 
 def reverse_candidates(g, v, family):
     """Single-step predecessors of g obtained by undoing a move at v,
     each paired with the forward move that rebuilds g from it.
 
-    Degree-2 vertices and lollipop vertices reverse one way: delete v.
-    A degree-3 vertex with edges to slots a, b, c (repeats allowed)
-    yields up to three predecessors, one per pair, rejoining the pair
-    with the oriented color sum of the two-edge path through v.  A
-    rejoin that would duplicate an existing edge of the same color (up
-    to flip and negate) is dropped, since the doubled edge could never
-    sit inside a sparse graph.
+    One scan of v's incident edges gives its shape (_degree_pattern),
+    and v is deleted once.  Degree-2 vertices and lollipop vertices
+    reverse one way: that deletion.  A degree-3 vertex with edges to
+    slots a, b, c (repeats allowed) yields up to three predecessors, one
+    per pair, rejoining the pair with the color the split identity gives
+    it: can - cbn, the pair's colors read into v.  A rejoin that would
+    duplicate an existing edge of the same color (up to flip and negate)
+    is dropped, since the doubled edge could never sit inside a sparse
+    graph.
 
     The h2c move's split id refers to the rejoined edge in the
     predecessor.  No family count is checked here; callers filter.
@@ -323,33 +310,32 @@ def reverse_candidates(g, v, family):
     fam = family_def(family)
     if not g.has_vertex(v):
         raise UsageError("no vertex %d" % v)
-    pat = _degree_pattern(g, v)
+    inc, pat = _degree_pattern(g, v)
     if pat is None or pat not in fam.kinds:
         raise NoCandidatesError(
             "vertex %d has no reversible degree pattern for %s" % (v, family))
-    inc = [g.edge(i) for i in g.incident(v)]
+    stripped = g.without_vertex(v)
     if pat == "h1c":
         e1, e2 = inc
         mv = H1c(v, _other(e1, v), _other(e2, v), _into(e1, v), _into(e2, v))
-        return [(mv, g.without_vertex(v))]
+        return [(mv, stripped)]
     if pat == "h1cp":
         loop = next(e for e in inc if e.tail == e.head)
         plain = next(e for e in inc if e.tail != e.head)
         mv = H1cPrime(v, _other(plain, v), _into(plain, v), loop.color)
-        return [(mv, g.without_vertex(v))]
-    stripped = g.without_vertex(v)
+        return [(mv, stripped)]
     out = []
     for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
         ei, ej, ek = inc[i], inc[j], inc[k]
         x, y = _other(ei, v), _other(ej, v)
-        eta = path_color_sum(g, ei.id, v, ej.id)
+        can, cbn = _into(ei, v), _into(ej, v)
+        eta = can - cbn
         key = normalized_triple(Edge(-1, x, y, eta))
         if any(normalized_triple(f) == key for f in stripped.edges
                if {f.tail, f.head} == {x, y}):
             continue
         cand = stripped.with_edges([(x, y, eta)])
-        mv = H2c(v, cand.edges[-1].id, _into(ei, v), _into(ej, v),
-                 _other(ek, v), _into(ek, v))
+        mv = H2c(v, cand.edges[-1].id, can, cbn, _other(ek, v), _into(ek, v))
         out.append((mv, cand))
     return out
 
@@ -373,7 +359,7 @@ def _pick_reverse(work, family, fam):
     """
     for kind in fam.kinds:
         for v in sorted(work.vertices):
-            if _degree_pattern(work, v) != kind:
+            if _degree_pattern(work, v)[1] != kind:
                 continue
             for mv, cand in reverse_candidates(work, v, family):
                 if kind == "h2c":
@@ -434,9 +420,7 @@ def deconstruct(g, family):
     checked against g edge-for-edge (orientation free) before return.
     """
     fam = family_def(family)
-    if g.spec.variant != fam.variant:
-        raise UsageError(
-            "family %s expects %s colors, got %s" % (family, fam.variant, g.spec))
+    _check_group(fam, g.spec)
     # every base has this shape and every move keeps it, though the
     # whole-graph count calls two bases side by side tight, and check
     # calls a balanced triangle tight
@@ -568,9 +552,7 @@ def random_construct(family, steps, seed, group=None):
     fam = family_def(family)
     rng = random.Random(seed)
     if group is not None:
-        if group.variant != fam.variant:
-            raise UsageError(
-                "family %s expects %s colors, got %s" % (family, fam.variant, group))
+        _check_group(fam, group)
         spec = group
     elif fam.variant == G.CYCLIC:
         spec = G.GroupSpec.cyclic(rng.choice((3, 5, 7)))
@@ -660,8 +642,8 @@ def _parse_move(line, lineno, spec):
 def parse_certificate(text):
     """Parse the certificate text format; inverse of serialize_certificate.
 
-    Blank lines and # comments are tolerated outside the base block and
-    inside it (the graph parser skips them too)."""
+    Blank lines are skipped and # starts a comment on every line, inside
+    the base block and out, as in the graph format."""
     family = None
     base = None
     base_lines = None
@@ -669,11 +651,11 @@ def parse_certificate(text):
     moves = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+        line = raw.split("#", 1)[0].strip()
         if base_lines is not None and line != "end base":
             base_lines.append(raw)
             continue
-        if not line or line.startswith("#"):
+        if not line:
             continue
         if line == "end base":
             if base_lines is None:

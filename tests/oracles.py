@@ -9,6 +9,8 @@ are exponential in the edge count; keep inputs small.
 
 import sympy
 
+from gainsparse import GroupElem, InvalidMoveError, UsageError
+
 
 def kl_sparse_edge_subsets(edges, k, l):
     """m' <= k n' - l over every nonempty edge subset, by literal scan.
@@ -373,3 +375,66 @@ def lift_arcs(g):
             arcs.append((j * N + elems.index(gamma), vertex(e.tail, gamma),
                          vertex(e.head, e.color + gamma)))
     return sorted(arcs)
+
+
+# --- Henneberg moves -------------------------------------------------------
+#
+# The package's apply_move states every local rule once for all three
+# kinds.  This is the same function written kind by kind, each with its
+# own attach check, colour coercion and parallel test.  Only the rules
+# are longhand: graph edits and group arithmetic are the package's.
+
+
+def _coerce(spec, value):
+    """Accept a GroupElem of the right group, or raw coordinates."""
+    if isinstance(value, GroupElem):
+        if value.spec != spec:
+            raise UsageError("color %s does not live in %s" % (value, spec))
+        return value
+    if isinstance(value, tuple):
+        return spec.elem(*value)
+    return spec.elem(value)
+
+
+def apply_move_by_kind(g, m):
+    """apply_move with one branch per move kind: the same graph, or the
+    same exception class and message, for every move."""
+    if g.has_vertex(m.n):
+        raise UsageError("new vertex id %d already in use" % m.n)
+    if m.kind == "h1c":
+        for v in (m.a, m.b):
+            if not g.has_vertex(v):
+                raise UsageError("no vertex %d to attach to" % v)
+        ca, cb = _coerce(g.spec, m.ca), _coerce(g.spec, m.cb)
+        if m.a == m.b and ca == cb:
+            raise InvalidMoveError(
+                "parallel edges %d -> %d must get distinct colors" % (m.a, m.n))
+        return g.with_vertex(m.n).with_edges([(m.a, m.n, ca), (m.b, m.n, cb)])
+    if m.kind == "h1cp":
+        if not g.has_vertex(m.a):
+            raise UsageError("no vertex %d to attach to" % m.a)
+        ca, cl = _coerce(g.spec, m.ca), _coerce(g.spec, m.loop)
+        if cl == g.spec.zero():
+            raise InvalidMoveError("lollipop loop color must be nonzero")
+        return g.with_vertex(m.n).with_edges([(m.a, m.n, ca), (m.n, m.n, cl)])
+    if m.kind == "h2c":
+        split = g.edge(m.split)
+        if not g.has_vertex(m.c):
+            raise UsageError("no vertex %d to attach to" % m.c)
+        can = _coerce(g.spec, m.can)
+        cbn = _coerce(g.spec, m.cbn)
+        ccn = _coerce(g.spec, m.ccn)
+        if can - cbn != split.color:
+            raise InvalidMoveError(
+                "split identity fails: %s - %s is not the color %s of edge %d"
+                % (can, cbn, split.color, m.split))
+        new = [(split.tail, m.n, can), (split.head, m.n, cbn), (m.c, m.n, ccn)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                (u1, _, c1), (u2, _, c2) = new[i], new[j]
+                if u1 == u2 and c1 == c2:
+                    raise InvalidMoveError(
+                        "parallel edges %d -> %d must get distinct colors"
+                        % (u1, m.n))
+        return g.without_edge(m.split).with_vertex(m.n).with_edges(new)
+    raise UsageError("unknown move kind %r" % (getattr(m, "kind", None),))

@@ -42,6 +42,7 @@ from gainsparse import (
     verify_certificate,
 )
 import oracles
+from helpers import is_circuit_23
 
 P21 = SparsityParams(2, 1)
 P22 = SparsityParams(2, 2)
@@ -387,17 +388,6 @@ def test_criterion_6_moves_commute_with_lifting(capsys):
 # 7. thinning a circuit's overlap with one edge orbit
 
 
-def _is_circuit_23(mg, edge_ids):
-    by_id = {e[0]: e for e in mg.edges}
-
-    def sparse(ids):
-        return is_kl_sparse(
-            UncoloredMultigraph(mg.vertices, [by_id[i] for i in ids]), P23)
-
-    return (not sparse(edge_ids)
-            and all(sparse(edge_ids - {i}) for i in edge_ids))
-
-
 def _thinnable(sg, circuit, rep):
     return oracles.thinnable({e.id: (e.x, e.y, e.base_eid) for e in sg.edges},
                              circuit, rep)
@@ -488,7 +478,7 @@ def test_criterion_7_orbit_elimination(capsys):
             sg, mg, circuit, rep = _crowded_instance(draw, rng, skipped)
             out = eliminate_orbit_circuit(sg, circuit, rep)
             if not (len(out & sg.orbit_of_edge(rep)) <= 1
-                    and _is_circuit_23(mg, out)):
+                    and is_circuit_23(mg, out)):
                 if len(bad) < 5:
                     bad.append("%s circuit %r" % (label, sorted(circuit)))
             checked += 1

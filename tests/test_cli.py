@@ -285,6 +285,7 @@ def test_check_directory(tmp_path):
     write_graph(d / "a.txt", ColoredGraph(Z5, [0], [(0, 0, 0, (1,))]))
     write_graph(d / "b.txt", ColoredGraph(Z5, [0], [(0, 0, 0, (0,))]))
     write_graph(d / "c.txt", ColoredGraph(Z5, [0], []))
+    (d / "b.sub").mkdir()   # subdirectories are skipped
     code, out, _ = run_cli(["check", d, "--family", "cone"])
     assert code == 1
     assert out.splitlines() == ["a.txt: TIGHT",

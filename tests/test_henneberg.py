@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gainsparse.henneberg
+import oracles
 from gainsparse import (
     CONSTRUCTIBLE,
     Certificate,
@@ -42,6 +43,7 @@ from gainsparse import (
     underlying,
     verify_certificate,
 )
+from helpers import certificate_graph
 
 Z = GroupSpec.parse("Z")
 Z5 = GroupSpec.parse("Z/5")
@@ -109,6 +111,15 @@ def test_move_reference_errors():
         apply_move(CONE_BASE, H1c(1, 0, 7, Z5.elem((1,)), Z5.elem((2,))))
     with pytest.raises(UsageError):
         apply_move(CONE_BASE, H1c(0, 0, 0, Z5.elem((1,)), Z5.elem((2,))))
+
+
+def test_bare_int_color_on_z2_is_a_usage_error():
+    with pytest.raises(UsageError, match="takes 2 coordinate"):
+        ColoredGraph(Z2, [0], [(0, 0, 5)])
+    with pytest.raises(UsageError, match="takes 2 coordinate"):
+        apply_move(ROSS_BASE, H1c(3, 1, 2, 5, (0, 1)))
+    with pytest.raises(UsageError, match="does not live in"):
+        ColoredGraph(Z2, [0], [(0, 0, Z5.elem(1))])
 
 
 def test_moves_add_one_vertex_two_edges():
@@ -400,6 +411,14 @@ def test_certificate_text_fixed_form():
     assert lines[-1] == "h2c n=3 split=2 can=4 cbn=2 c=1 ccn=0"
 
 
+def test_certificate_comments_end_every_line():
+    # a trailing comment is dropped from move, family and block lines
+    # alike, as the graph parser drops it from base lines
+    text = serialize_certificate(random_construct("cone", 3, 2))
+    noted = "\n".join(line + "  # x" for line in text.splitlines())
+    assert parse_certificate(noted) == parse_certificate(text)
+
+
 def test_certificate_parse_errors():
     with pytest.raises(ParseError):
         parse_certificate("family nope\nbegin base\nend base\n")
@@ -431,6 +450,66 @@ def test_certificate_parse_errors():
 # primes random_construct picks from
 _MOVE_SPECS = [("ross", Z2), ("cone", GroupSpec.cyclic(3)), ("cone", Z5),
                ("cone", GroupSpec.cyclic(7)), ("cylinder", Z)]
+
+
+# a colour of the graph's group, its coordinates, a bare int (refused
+# by Z^2), or an element of another group (always refused)
+_FORMS = ("elem", "elem", "coords", "int", "other")
+
+
+def _given_color(spec, coords, form):
+    if form == "elem":
+        return spec.elem(coords)
+    if form == "coords":
+        return coords
+    if form == "int":
+        return coords[0]
+    return (Z5 if spec != Z5 else Z).elem(coords[0])
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(_MOVE_SPECS), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=10**6), st.booleans(), st.data())
+def test_apply_move_matches_the_kind_by_kind_oracle(spec_row, steps, seed,
+                                                    repeat, data):
+    # every kind on every family's graphs, with unknown attach vertices,
+    # reused n, missing split ids and colours in every form; small
+    # coordinates and `repeat` (a == b, cb = ca, a fitting split
+    # identity) make equal parallels, zero loops and both sides of the
+    # split identity common
+    family, spec = spec_row
+    g = certificate_graph(family, steps, seed, spec)
+    verts = sorted(g.vertices) + [max(g.vertices) + 7]
+    coords = st.tuples(*[st.integers(min_value=0, max_value=1)] * spec.ncoords)
+    forms = st.sampled_from(_FORMS)
+
+    def color():
+        return _given_color(spec, data.draw(coords), data.draw(forms))
+
+    n = data.draw(st.sampled_from([max(g.vertices) + 1] * 3 + [verts[0]]))
+    kind = data.draw(st.sampled_from(("h1c", "h1cp", "h2c")))
+    if kind == "h1c":
+        a = data.draw(st.sampled_from(verts))
+        ca = color()
+        mv = H1c(n, a, a if repeat else data.draw(st.sampled_from(verts)),
+                 ca, ca if repeat else color())
+    elif kind == "h1cp":
+        mv = H1cPrime(n, data.draw(st.sampled_from(verts)), color(), color())
+    else:
+        split = data.draw(st.sampled_from(sorted(g.edge_ids()) + [g.m + 3]))
+        can = data.draw(coords)
+        cbn = color()
+        if repeat and split in g.edge_ids():
+            cbn = spec.elem(can) - g.edge(split).color
+        mv = H2c(n, split, _given_color(spec, can, data.draw(forms)), cbn,
+                 data.draw(st.sampled_from(verts)), color())
+    outcomes = []
+    for move in (apply_move, oracles.apply_move_by_kind):
+        try:
+            outcomes.append(move(g, mv))
+        except (UsageError, InvalidMoveError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1], mv
 
 
 def _brute_tight(g, family):

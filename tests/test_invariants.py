@@ -29,9 +29,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from gainsparse import (ColoredGraph, GroupSpec, Subgraph, apply_move, check,
-                        family_bound, random_construct, subgraph_counts)
+from gainsparse import (ColoredGraph, GroupSpec, Subgraph, check,
+                        family_bound, subgraph_counts)
 from gainsparse.groups import CYCLIC, CYCLIC_PQ, FREE2
+from helpers import certificate_graph
 
 # (family, modulus or None for Z, n, seed, edit).  Most recolours and
 # some rewires stay tight, so the cases mix both verdicts.  A violation
@@ -54,14 +55,6 @@ CASES = [
 
 def _raw(g):
     return [(e.id, e.tail, e.head, e.color.coords) for e in sorted(g.edges)]
-
-
-def _built(family, steps, seed, spec):
-    cert = random_construct(family, steps, seed, group=spec)
-    g = cert.base
-    for mv in cert.moves:
-        g = apply_move(g, mv)
-    return g
 
 
 def _edited(g, seed, edit, colours):
@@ -87,7 +80,7 @@ def _input(case):
     """The edited certificate graph of a case and its lift verdict."""
     family, p, n, seed, edit = case
     spec = GroupSpec.cyclic(p) if p else GroupSpec.free()
-    g = _built(family, n - 1, seed, spec)
+    g = certificate_graph(family, n - 1, seed, spec)
     assert g.n == n and g.m == 2 * n - 1
     colours = [(x,) for x in (range(p) if p else range(-2, 3))]
     h = ColoredGraph(spec, g.vertices, _edited(g, seed, edit, colours))
@@ -110,7 +103,7 @@ BRUTE_CASES = [
 def _brute_input(case):
     """The edited Ross certificate graph of a case and its brute verdict."""
     family, group, n, seed, edit = case
-    g = _built("ross", n - 2, seed, GroupSpec.free2())
+    g = certificate_graph("ross", n - 2, seed, GroupSpec.free2())
     assert g.n == n and g.m == 2 * n - 2 <= 24
     colours = [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
     h = ColoredGraph(GroupSpec.parse(group), g.vertices,
@@ -236,8 +229,8 @@ _THEOREM_IDS = ["%s-%s-n%d-s%d" % c for c in THEOREM_CASES]
 
 def _certificate_graph(case):
     family, group, n, seed = case
-    g = _built(family, n - (2 if family == "ross" else 1), seed,
-               GroupSpec.parse(group))
+    g = certificate_graph(family, n - (2 if family == "ross" else 1), seed,
+                          GroupSpec.parse(group))
     assert g.n == n and g.m <= 23
     return g
 

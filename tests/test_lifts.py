@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import gainsparse.lifts
 import gainsparse.sparsity
 import oracles
+from helpers import certificate_graph, is_circuit_23
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
@@ -20,7 +21,6 @@ from gainsparse import (
     UncoloredMultigraph,
     UnsupportedGroupError,
     UsageError,
-    apply_move,
     build_lift,
     check,
     check_colored_sparsity,
@@ -35,7 +35,6 @@ from gainsparse import (
     lift_to_dot,
     lift_to_text,
     path_color_sum,
-    random_construct,
     reduce_colors,
     rho_rank,
     subgraph_counts,
@@ -260,20 +259,12 @@ def test_lift_recognition_matches_brute_force(p, seed):
     assert cone_laman_via_lift(g) == check_colored_sparsity(g, "cone").tight
 
 
-def _built(family, steps, seed, group=None):
-    cert = random_construct(family, steps, seed, group=group)
-    g = cert.base
-    for mv in cert.moves:
-        g = apply_move(g, mv)
-    return g
-
-
 def _planted(family, steps, seed, group=None, how="copy"):
     """A random tight graph of the family with one plain edge overwritten,
     so m = 2n - 1 still holds but the count breaks: by a copy of another
     edge, or ("rewire") by a new edge between two random vertices with
     the color of a random edge, redrawn until the lift check fails."""
-    g = _built(family, steps, seed, group)
+    g = certificate_graph(family, steps, seed, group)
     rng = random.Random(seed)
     edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
     plain = [i for i, e in enumerate(edges) if e[1] != e[2]]
@@ -335,8 +326,8 @@ def test_pebble_search_work_is_linear_on_the_chain_lift():
 
 def test_passing_lift_check_builds_no_multigraph(monkeypatch):
     # nor does a failing one: its witness is read off the stuck game
-    g = _built("cone", 40, 2, Z5)
-    cyl = _built("cylinder", 30, 2)
+    g = certificate_graph("cone", 40, 2, Z5)
+    cyl = certificate_graph("cylinder", 30, 2)
     failing = [(family, _planted(family, 12, 2, group, how))
                for family, group in (("cone", Z5), ("cone", Z7),
                                      ("cylinder", None))
@@ -370,7 +361,7 @@ def _random_lift_input(family, p, rng):
         return ColoredGraph(spec, range(n),
                             [(i, rng.randrange(n), rng.randrange(n), color())
                              for i in range(2 * n - 1)])
-    g = _built(family, n - 1, rng.randrange(10 ** 6), spec)
+    g = certificate_graph(family, n - 1, rng.randrange(10 ** 6), spec)
     edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
     i = rng.choice([i for i, e in enumerate(edges) if e[1] != e[2]])
     edges[i] = (edges[i][0],) + tuple(rng.sample(g.vertices, 2)) + (color(),)
@@ -400,8 +391,8 @@ def _glued(n, seed):
     """Two tight cylinder graphs on n/2 vertices each, joined by one
     bridge edge: m = 2n - 1 and the lift passes, but the underlying graph
     is not (2,2)-spanning, so the witness is two disjoint circuits."""
-    a = _built("cylinder", n // 2 - 1, seed)
-    b = _built("cylinder", n // 2 - 1, seed + 1)
+    a = certificate_graph("cylinder", n // 2 - 1, seed)
+    b = certificate_graph("cylinder", n // 2 - 1, seed + 1)
     dv, de = max(a.vertices) + 1, max(a.edge_ids()) + 1
     edges = [(e.id, e.tail, e.head, e.color) for e in a.edges]
     edges += [(e.id + de, e.tail + dv, e.head + dv, e.color) for e in b.edges]
@@ -536,18 +527,6 @@ def test_gauge_shift_gives_isomorphic_lift():
         assert nx.is_isomorphic(a, b)
 
 
-def _is_circuit(mg, edge_ids):
-    """Minimal (2,3) violation: the set violates, every one-edge-removed
-    subset does not."""
-    by_id = {e[0]: e for e in mg.edges}
-    def sparse(ids):
-        sub = UncoloredMultigraph(mg.vertices, [by_id[i] for i in ids])
-        return is_kl_sparse(sub, P23)
-    if sparse(edge_ids):
-        return False
-    return all(sparse(edge_ids - {i}) for i in edge_ids)
-
-
 def _overlap_instance():
     # tight two-vertex base plus one extra parallel edge; the rejected
     # fiber edge's circuit sweeps whole fibers of the original edges
@@ -608,7 +587,7 @@ def test_eliminate_reduces_overlapping_orbit():
     assert crowded, "instance must have an orbit meeting the circuit twice"
     out = eliminate_orbit_circuit(sg, circuit, crowded[0])
     assert len(out & sg.orbit_of_edge(crowded[0])) <= 1
-    assert _is_circuit(mg, out)
+    assert is_circuit_23(mg, out)
 
 
 def test_eliminate_rejects_non_circuits():

@@ -1,0 +1,126 @@
+"""In-process A/B of two source trees on one benchmark plan.
+
+    python3 tools/ab_calls.py PARENT_TREE CHANGE_TREE --workload NAME
+        --rounds N [--seed S]
+
+Each tree is a checkout root holding src/gainsparse.  The plan of the
+workload (perfbench/gen.py, seed S, default 1) is built once, here, with
+this checkout's perfbench, in a temporary directory.  Each round runs
+each tree's whole plan once, every warm-up item untimed and then every
+timed item of every variant, in a fresh process of its own that imports
+gainsparse from that tree (perfbench/worker.import_package) and calls
+gainsparse.cli.main through perfbench/worker.call; which tree goes
+first alternates from round to round.  A process sums the seconds of
+its timed calls and of the perfbench/reference.measure() reading taken
+right after each call, so its figure, calls over references, is free of
+the machine's speed drift as the benchmark's metrics are.  A round's
+ratio is the change's figure over the parent's: below 1 the change ran
+faster.  Prints every round's ratio, the median ratio with its
+quartiles, and in how many rounds the change was faster.
+
+Only the standard library runs; perfbench is imported and not changed,
+and no bytecode or output file is written into either tree.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+sys.dont_write_bytecode = True
+
+import gen  # noqa: E402
+import reference  # noqa: E402
+import worker  # noqa: E402
+
+
+def run_plan(tree, plan_path, out_path):
+    """Child side: one pass of the plan against tree; writes the summed
+    call seconds and reference seconds."""
+    package = worker.import_package(tree)
+    with open(plan_path) as fh:
+        plan = json.load(fh)
+    for it in plan["warmup"]:
+        worker.call(package.cli, it["argv"])
+        _remove(it["outputs"])
+    calls = refs = 0.0
+    for it in plan["items"]:
+        calls += worker.call(package.cli, it["argv"])[3]
+        refs += reference.measure()
+        _remove(it["outputs"])
+    with open(out_path, "w") as fh:
+        json.dump({"calls": len(plan["items"]), "call_s": calls,
+                   "ref_s": refs}, fh)
+
+
+def _remove(paths):
+    for path in paths:
+        if os.path.exists(path):
+            os.remove(path)
+
+
+def _run_tree(tree, plan_path, out_path):
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
+                    tree, plan_path, out_path], check=True, env=env)
+    with open(out_path) as fh:
+        return json.load(fh)
+
+
+def rounds(parent, change, workload, seed, count, work):
+    """Yield (round, parent figure, change figure), each calls over
+    references."""
+    plan = gen.build(workload, seed, os.path.join(work, "plan"))
+    plan_path = os.path.join(work, "plan.json")
+    with open(plan_path, "w") as fh:
+        json.dump(plan, fh)
+    out_path = os.path.join(work, "result.json")
+    for r in range(count):
+        order = [("parent", parent), ("change", change)]
+        if r % 2:
+            order.reverse()
+        figure = {}
+        for side, tree in order:
+            res = _run_tree(tree, plan_path, out_path)
+            figure[side] = res["call_s"] / res["ref_s"]
+        yield r, figure["parent"], figure["change"]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        run_plan(*argv[1:])
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True, choices=gen.WORKLOADS)
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    trees = [os.path.abspath(t) for t in (args.parent, args.change)]
+    ratios = []
+    with tempfile.TemporaryDirectory(prefix="ab-calls-") as work:
+        for r, p, c in rounds(trees[0], trees[1], args.workload, args.seed,
+                              args.rounds, work):
+            ratios.append(c / p)
+            print("round %d: parent %.3f change %.3f ratio %.3f"
+                  % (r + 1, p, c, ratios[-1]), flush=True)
+    quart = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
+             else [ratios[0]] * 3)
+    print("median change/parent ratio %.3f (quartiles %.3f-%.3f); "
+          "change faster in %d of %d rounds"
+          % (statistics.median(ratios), quart[0], quart[2],
+             sum(x < 1 for x in ratios), len(ratios)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
