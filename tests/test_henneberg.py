@@ -496,7 +496,8 @@ def test_apply_move_matches_the_kind_by_kind_oracle(spec_row, steps, seed,
     elif kind == "h1cp":
         mv = H1cPrime(n, data.draw(st.sampled_from(verts)), color(), color())
     else:
-        split = data.draw(st.sampled_from(sorted(g.edge_ids()) + [g.m + 3]))
+        ids = sorted(g.edge_ids())
+        split = data.draw(st.sampled_from(ids + [ids[-1] + 1]))
         can = data.draw(coords)
         cbn = color()
         if repeat and split in g.edge_ids():
