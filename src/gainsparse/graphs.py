@@ -19,7 +19,7 @@ component order) is made in edge-id order so reruns reproduce goldens.
 from collections import namedtuple
 
 from .errors import UsageError, ParseError
-from .groups import GroupSpec, GroupElem, parse_elem, rank_of_span
+from .groups import GroupSpec, GroupElem, integer, parse_elem, rank_of_span
 
 Edge = namedtuple("Edge", ["id", "tail", "head", "color"])
 
@@ -56,15 +56,16 @@ class ColoredGraph:
     ``vertices`` is an ordered collection of integer ids.  ``edges`` may be
     given as (tail, head, color) triples, in which case ids 0..m-1 are
     assigned in order, or as (id, tail, head, color) with explicit unique
-    ids.  Colors go through spec.elem: GroupElem values of spec, or raw
-    coordinates (an int, or a pair for the rank-2 groups).
+    ids.  Ids go through groups.integer and colors through spec.elem
+    (GroupElem values of spec, or integer coordinates: an int, or a pair
+    for the rank-2 groups), so a float, str or bool is a UsageError.
     """
 
     __slots__ = ("spec", "vertices", "edges", "_byid", "_pos")
 
     def __init__(self, spec, vertices, edges):
         self.spec = spec
-        self.vertices = tuple(int(v) for v in vertices)
+        self.vertices = tuple(map(integer, vertices))
         out = []
         for i, e in enumerate(edges):
             if len(e) == 3:
@@ -75,7 +76,7 @@ class ColoredGraph:
                 raise UsageError("edge must be (tail, head, color) or (id, tail, head, color)")
             if not isinstance(c, GroupElem) or c.spec != spec:
                 c = spec.elem(c)
-            out.append(Edge(int(eid), int(u), int(v), c))
+            out.append(Edge(integer(eid), integer(u), integer(v), c))
         self.edges = tuple(out)
         self._pos, self._byid = _index_graph(self.vertices, self.edges)
 

@@ -14,6 +14,8 @@ integers throughout; color magnitudes grow under reverse Henneberg sums
 and must not overflow.
 """
 
+from operator import index
+
 from .errors import UsageError, UnsupportedGroupError
 
 FREE1 = "Z"
@@ -59,6 +61,17 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def integer(x):
+    """x through operator.index; a bool, float, str or any other
+    non-integer is a UsageError."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise UsageError("expected an integer, got %r (%s)" % (x, type(x).__name__))
 
 
 def _check_modulus(k):
@@ -221,7 +234,7 @@ class GroupElem:
     __slots__ = ("spec", "coords")
 
     def __init__(self, spec, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(integer(c) for c in coords)
         if spec.variant == CYCLIC:
             coords = (coords[0] % spec.moduli[0],)
         elif spec.variant == CYCLIC_PQ:

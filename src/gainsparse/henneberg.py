@@ -21,20 +21,14 @@ hold: distinct colors on parallel edges, a nonzero lollipop loop, and
 the split identity.
 apply_move enforces exactly those rules, so verification checks the
 base and every move's rules, then runs one family check on the final
-graph.  Deconstruction takes what a certificate can build (connected,
-with a nonzero cycle image and m = 2n - 2 for Ross, 2n - 1 otherwise)
-and runs the moves backwards: repeatedly delete a vertex of degree two
-or three whose removal keeps the graph tight, then replay forward to
-emit moves whose edge ids match the replay, not the stripping order.
+graph.  Deconstruction takes what a certificate can build and runs the
+moves backwards: repeatedly delete a vertex of degree two or three
+whose removal keeps the graph tight, then replay forward to emit moves
+whose edge ids match the replay, not the stripping order.
 
 check() is the library's verdict entry point.  It and tight_in_family
-share one lift route (_lift_violation, a violating edge set or None): a
-Z/p graph with 2n-1 edges is cone-Laman exactly when its lift is
-Laman-sparse, and a Z graph is cylinder-tight exactly when its
-reduction mod a safe prime passes that test and its underlying graph is
-(2,2)-spanning.  tight_in_family takes that route exactly when
-check(method="lift") would (lift_applies), and the brute-force count
-otherwise.
+share one lift route (_lift_violation) wherever lift_applies, and take
+the brute-force count elsewhere.
 """
 
 import random
@@ -52,8 +46,8 @@ from .lifts import (reduce_colors, odd_prime_cyclic, lift_witness,
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
-                       check_colored_sparsity, family_bound, graph_counts,
-                       is_kl_spanning, _minimize_witness)
+                       check_colored_sparsity, family_bound, family_count,
+                       graph_counts, is_kl_spanning, _minimize_witness)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -81,34 +75,46 @@ class H2c(namedtuple("H2c", ["n", "split", "can", "cbn", "c", "ccn"])):
     kind = "h2c"
 
 
-class Family(namedtuple("Family", ["name", "kinds", "variant"])):
-    """A constructible family: its move kinds, in the preference order
-    deconstruction uses, and the required color group variant."""
+class Family(namedtuple("Family", ["name", "kinds", "group", "base_n"])):
+    """What construction adds to a family's count (sparsity.Count): move
+    kinds in deconstruction's preference order, the group variant
+    certificates are built over, and the base graph's vertex count."""
 
     __slots__ = ()
 
 
 CONSTRUCTIBLE = {
-    ROSS: Family(ROSS, ("h1c", "h2c"), G.FREE2),
-    CONE: Family(CONE, ("h1c", "h1cp", "h2c"), G.CYCLIC),
-    CYLINDER: Family(CYLINDER, ("h1c", "h2c"), G.FREE1),
+    ROSS: Family(ROSS, ("h1c", "h2c"), G.FREE2, 2),
+    CONE: Family(CONE, ("h1c", "h1cp", "h2c"), G.CYCLIC, 1),
+    CYLINDER: Family(CYLINDER, ("h1c", "h2c"), G.FREE1, 1),
 }
 
 
-def family_def(name):
+def family_def(name, spec=None):
+    """The family's Family; given a group spec, also raise the error for
+    a group its certificates are not built over (_group_refusal)."""
     try:
-        return CONSTRUCTIBLE[name]
+        fam = CONSTRUCTIBLE[name]
     except KeyError:
         raise UsageError("no inductive construction for family %r" % (name,))
+    refusal = None if spec is None else _group_refusal(fam, spec)
+    if refusal is not None:
+        raise refusal
+    return fam
 
 
 Certificate = namedtuple("Certificate", ["family", "base", "moves"])
 
 
-def _check_group(fam, spec):
-    if spec.variant != fam.variant:
-        raise UsageError("family %s expects %s colors, got %s"
-                         % (fam.name, fam.variant, spec))
+def _group_refusal(fam, spec):
+    """The error for a group fam's certificates are not built over, or
+    None: the count's refusal, and for a group the count is defined over
+    but construction is not (Ross over Z/pxZ/q) one of its own."""
+    refusal = family_count(fam.name).refusal(spec)
+    if refusal is None and spec.variant != fam.group:
+        refusal = UsageError("family %s is constructed over %s only, not %s"
+                             % (fam.name, fam.group, spec))
+    return refusal
 
 
 def apply_move(g, m):
@@ -169,12 +175,14 @@ def apply_move(g, m):
 
 
 def _lift_violation(g, family):
-    """The lift route for a cone graph over Z/p (p an odd prime) or a
-    cylinder graph over Z with m = 2n - 1.  None when g is tight, else
-    an unminimised violating edge set: lift_witness of g (for cylinder,
-    of its reduction mod a safe prime), or, for a cylinder graph whose
-    lift passes but whose underlying graph is not (2,2)-spanning,
-    disjoint_circuit_witness(g)."""
+    """The lift route, wherever lift_applies: a Z/p graph with 2n - 1
+    edges is cone-Laman exactly when its lift is Laman-sparse, and a Z
+    graph is cylinder-tight exactly when its reduction mod a safe prime
+    passes that test and its underlying graph is (2,2)-spanning.  None
+    when g is tight, else an unminimised violating edge set: lift_witness
+    of g (for cylinder, of its reduction), or, for a cylinder graph whose
+    lift passes but which is not (2,2)-spanning, disjoint_circuit_witness.
+    """
     found = lift_witness(g if family == CONE else reduce_colors(g)[0])
     if (found is None and family == CYLINDER
             and not is_kl_spanning(g, (2, 2))):
@@ -183,19 +191,23 @@ def _lift_violation(g, family):
 
 
 def _lift_refusal(g, family):
-    """The error method="lift" raises on g, or None when it takes g."""
+    """The error method="lift" raises on g, or None when it takes g.
+    The route decides one connected unbalanced component's count,
+    m = 2n - off[1], which is 2n - 1 for cone and cylinder alike."""
+    count = family_count(family)
+    refusal = count.refusal(g.spec)
+    if refusal is not None:
+        return refusal
     if family not in (CONE, CYLINDER):
         return UsageError(
             "method=lift supports families cone and cylinder, not %s" % family)
     if family == CONE and not odd_prime_cyclic(g.spec):
         return UsageError(
             "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
-    if family == CYLINDER and g.spec.variant != G.FREE1:
-        return UsageError("family cylinder expects Z colors, got %s" % g.spec)
-    if g.m != 2 * g.n - 1:
+    if g.m != 2 * g.n - count.off[1]:
         return PreconditionError(
-            "method=lift decides tightness and needs m = 2n - 1; "
-            "got n=%d m=%d (use --method brute)" % (g.n, g.m))
+            "method=lift decides tightness and needs m = 2n - %d; "
+            "got n=%d m=%d (use --method brute)" % (count.off[1], g.n, g.m))
     return None
 
 
@@ -207,8 +219,8 @@ def lift_applies(g, family):
 def check(g, family, method="brute", budget=DEFAULT_BUDGET):
     """Verdict for g in family.  method="brute" enumerates subgraphs,
     refusing graphs above `budget` edges; method="lift" takes the
-    polynomial lift route, for cone graphs over Z/p (p an odd prime) and
-    cylinder graphs over Z, both with m = 2n - 1, where sparse means
+    polynomial lift route wherever lift_applies (cone over Z/p, p an odd
+    prime, and cylinder, both with m = 2n - 1), where sparse means
     tight.  The brute witness and the lift route's set (_lift_violation)
     are each minimised against g's own count.
 
@@ -232,40 +244,29 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
 
 def tight_in_family(g, family):
     """Is g tight in family?  The same answer as check(g, family).tight,
-    by the fastest route that is a theorem: wherever lift_applies (cone
-    over Z/p, p an odd prime, and cylinder over Z, both with m = 2n - 1),
-    the lift route shared with check, tight when _lift_violation finds no
-    set (nothing is minimised);
-    the brute-force count otherwise (Ross always; the budget keeps it at
-    desk scale)."""
+    by the fastest route that is a theorem: wherever lift_applies, the
+    lift route shared with check, with nothing minimised; the brute-force
+    count otherwise (Ross always; the budget keeps it at desk scale)."""
     if lift_applies(g, family):
         return _lift_violation(g, family) is None
     return check_colored_sparsity(g, family).tight
 
 
+def _base_image(colors):
+    # a base's cycle image from its colors read toward its top vertex
+    return colors[0] - colors[1] if len(colors) == 2 else colors[0]
+
+
 def is_base(g, family):
-    """Is g the family's base graph?  Cone and cylinder build up from a
-    single vertex carrying one loop of nonzero color; Ross starts from
-    two vertices joined by a pair of edges whose cycle image (the
-    difference of the colors, both read toward the higher vertex) is
-    nonzero."""
+    """Is g the family's base graph: base_n vertices joined by base_n
+    edges (a loop for cone and cylinder, two parallels for Ross) with a
+    nonzero cycle image, over a group its certificates are built over?"""
     fam = family_def(family)
-    if g.spec.variant != fam.variant:
+    if not g.n == g.m == fam.base_n or _group_refusal(fam, g.spec) is not None:
         return False
-    if family == ROSS:
-        if g.n != 2 or g.m != 2:
-            return False
-        u, v = sorted(g.vertices)
-        d = []
-        for e in g.edges:
-            if {e.tail, e.head} != {u, v}:
-                return False
-            d.append(e.color if e.tail == u else -e.color)
-        return d[0] - d[1] != g.spec.zero()
-    if g.n != 1 or g.m != 1:
-        return False
-    e = g.edges[0]
-    return e.tail == e.head and e.color != g.spec.zero()
+    ends = set(g.vertices)
+    return (all({e.tail, e.head} == ends for e in g.edges)
+            and _base_image([_into(e, max(ends)) for e in g.edges]) != g.spec.zero())
 
 
 def _into(e, v):
@@ -406,21 +407,19 @@ def deconstruct(g, family):
     vertices by ascending id, then candidate pairs by edge id, so the
     run is deterministic.  g must have the shape every certificate
     keeps: one component, a nonzero cycle image (graph_counts reads
-    c0 = 0 and c1 + c2 = 1) and m equal to family_bound, so m = 2n - 2
-    for Ross and 2n - 1 for cone and cylinder.  That count is read
-    first; then g takes one full family check (tight_in_family), and a
-    graph failing either raises PreconditionError.  After that a
-    candidate is accepted on the test _pick_reverse proves enough for its
-    kind: the whole-graph count for h1c and h1cp, the full check for
-    h2c.  Each step records only its move and, for h2c, the split edge
+    c0 = 0 and c1 + c2 = 1) and m equal to family_bound, 2n - off[1]
+    (sparsity.Count).  That count is read first; then g takes one full
+    family check (tight_in_family), and a graph failing either raises
+    PreconditionError.  After that a candidate is accepted on the test
+    _pick_reverse proves enough for its kind: the whole-graph count for
+    h1c and h1cp, the full check for h2c.  Each step records only its move and, for h2c, the split edge
     as the predecessor holds it; the predecessor itself is dropped once
     the next step is picked, so the strip holds one graph at a time and
     its memory is linear in m.  The forward replay then rebuilds the
     graph from the base to fix up h2c split ids, and the result is
     checked against g edge-for-edge (orientation free) before return.
     """
-    fam = family_def(family)
-    _check_group(fam, g.spec)
+    fam = family_def(family, g.spec)
     # every base has this shape and every move keeps it, though the
     # whole-graph count calls two bases side by side tight, and check
     # calls a balanced triangle tight
@@ -430,7 +429,7 @@ def deconstruct(g, family):
         raise PreconditionError(
             "input graph (n=%d, m=%d) is not connected with a nonzero cycle "
             "image and m = 2n - %d, as every %s certificate's graph is"
-            % (g.n, g.m, 2 if family == ROSS else 1, family))
+            % (g.n, g.m, family_count(family).off[1], family))
     if not tight_in_family(g, family):
         raise PreconditionError("input graph is not %s-tight" % family)
     trail = []
@@ -508,17 +507,12 @@ def _pool_color(spec, rng):
 
 
 def _random_base(fam, spec, rng):
-    if fam.name == ROSS:
-        while True:
-            c1, c2 = _pool_color(spec, rng), _pool_color(spec, rng)
-            if c1 != c2:
-                break
-        return ColoredGraph(spec, [0, 1], [(0, 0, 1, c1), (1, 0, 1, c2)])
+    # base_n edges 0 -> base_n - 1, redrawn until the cycle image is nonzero
     while True:
-        c = _pool_color(spec, rng)
-        if c != spec.zero():
-            break
-    return ColoredGraph(spec, [0], [(0, 0, 0, c)])
+        colors = [_pool_color(spec, rng) for _ in range(fam.base_n)]
+        if _base_image(colors) != spec.zero():
+            return ColoredGraph(spec, range(fam.base_n), [
+                (i, 0, fam.base_n - 1, c) for i, c in enumerate(colors)])
 
 
 def _sample_move(fam, g, rng):
@@ -549,17 +543,14 @@ def random_construct(family, steps, seed, group=None):
     """
     if steps < 0:
         raise UsageError("steps must be nonnegative")
-    fam = family_def(family)
+    fam = family_def(family, group)
     rng = random.Random(seed)
     if group is not None:
-        _check_group(fam, group)
         spec = group
-    elif fam.variant == G.CYCLIC:
+    elif fam.group == G.CYCLIC:
         spec = G.GroupSpec.cyclic(rng.choice((3, 5, 7)))
-    elif fam.variant == G.FREE1:
-        spec = G.GroupSpec.free()
     else:
-        spec = G.GroupSpec.free2()
+        spec = G.GroupSpec(fam.group)
     base = _random_base(fam, spec, rng)
     g = base
     moves = []

@@ -17,14 +17,9 @@ connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
 Z colors are first reduced modulo a safe prime that no cycle sum can
 reach; a cover above MAX_COVER is refused before it is built.
-lift_witness is the one call from a graph to the lift check: it plays
-the (2,3) game on the lift's arcs up to its first rejection and projects
-that edge's circuit, read off the game, to a violating base edge set, or
-returns None; it holds the game's per-vertex pebbles and arcs, and no
-per-edge list.  When cylinder spanning fails, disjoint_circuit_witness
-reports the circuits of the first two edges one (2,2) game rejects,
-two disjoint circuits whose union is one.  sparsity._minimize_witness
-checks and shrinks either.
+lift_witness is the one call from a graph to the lift check, and
+disjoint_circuit_witness the cylinder witness when spanning fails;
+sparsity._minimize_witness checks and shrinks either's set.
 """
 
 from collections import namedtuple
@@ -127,21 +122,18 @@ class SymmetricGraph:
         first = eid - eid % len(self.group)
         return frozenset(range(first, first + len(self.group)))
 
-    def _act(self, gamma, x):
+    def act_on_vertex(self, gamma, x):
+        """Id of gamma . (i, delta) = (i, delta + gamma).  Vertex and
+        edge fibers share one layout, so act_on_edge is the same map: the
+        edge over the same base edge at gamma_index + gamma, whose
+        endpoints are x's endpoints acted on by gamma."""
         if gamma.spec != self.base.spec:
             raise UsageError("cannot act by an element of %s on a lift over %s"
                              % (gamma.spec, self.base.spec))
         gi = x % len(self.group)
         return x - gi + _shift(gamma.spec, gi, gamma.coords)
 
-    def act_on_vertex(self, gamma, vi):
-        """Id of gamma . (i, delta) = (i, delta + gamma)."""
-        return self._act(gamma, vi)
-
-    def act_on_edge(self, gamma, eid):
-        """Id of the edge over the same base edge at gamma_index + gamma,
-        whose endpoints are eid's endpoints acted on by gamma."""
-        return self._act(gamma, eid)
+    act_on_edge = act_on_vertex
 
     def multigraph(self):
         """The lift as an uncolored multigraph on dense vertex indices."""

@@ -9,32 +9,17 @@ O(m(n+m)) at worst, but a search stops at the nearest free pebble.  On
 the Z/3 lifts of chains (vertex v joined to v-1 and v-2) the searches
 reach about 41 vertices per lift edge at n = 1000 and at n = 2000; on
 random-attachment bases they reach about 70, 120 and 180 at n = 300,
-800 and 2000.  The colored recognizers evaluate the four per-family
-counts
+800 and 2000.
 
-    Ross       m' <= 2n' - 3c0 - 2(c1 + c2)
-    cone       m' <= 2n' - 3c0 - c1 - c2
-    cylinder   m' <= 2n' + r - 3c0 - 2(c1 + c2)
-    colored    m' <= 2n' + max(2r - 1, 0) - 3c0 - 2(c1 + c2)
-
-over every edge-induced subgraph by brute enumeration, which is the
-ground truth the rest of the package is checked against.  Enumeration
-walks connected edge subsets once each (anchored growth, banned-prefix
-branching) and handles disconnected subgraphs by combining pieces, since
-for Ross and cone the bound is additive over components and only the
-cylinder and colored counts can be broken by a disjoint union whose
-parts are all fine.  The walk is one integer kernel: every colour is
-one int whose + is the group law (_int_colors), and each piece's slack
-and image rank are arguments of the recursion, so a step costs a few
-int operations and at most one call.  It walks only the balanced
-(rank 0) pieces when two pebble games on the underlying graph prove
-that no unbalanced one can matter: every count gives an unbalanced
-piece a looser bound (2n' - 2 for Ross, at least 2n' - 1 for the
-rest) than the Laman bound 2n' - 3 of a balanced one, so none breaks
-the count on a (2,2)-sparse graph (Ross) or a (2,1)-sparse one (the
-rest).  For cylinder and colored the (2,2) game must also reject at
-most one edge, so that no two disjoint unbalanced pieces can break it
-together; _search_violation has the proof.
+The colored recognizers evaluate a family's count (Count; COUNTS holds
+the four) over every edge-induced subgraph by brute enumeration, which
+is the ground truth the rest of the package is checked against.  The
+walk meets each connected edge subset once, combines disjoint pieces
+only for the counts whose term grows with r (cylinder and colored, the
+ones a disjoint union of fine parts can break), runs on one integer
+kernel (_int_colors), and skips every unbalanced piece when pebble
+games on the underlying graph prove none can matter; _search_violation
+has the proofs.
 """
 
 from collections import namedtuple
@@ -50,13 +35,48 @@ CYLINDER = "cylinder"
 COLORED = "colored"
 FAMILIES = (ROSS, CONE, CYLINDER, COLORED)
 
-# which group variants each family's count is defined over
-_FAMILY_GROUPS = {
-    ROSS: (G.FREE2, G.CYCLIC_PQ),
-    CONE: (G.CYCLIC,),
-    CYLINDER: (G.FREE1,),
-    COLORED: (G.FREE2,),
-}
+
+class Count(namedtuple("Count", "family penalty term groups")):
+    """A family's count, m' <= 2n' + term[r] - (penalty[rank K] summed
+    over components K), with penalty and term indexed by rank 0, 1, 2
+    and r the rank of the whole set's cycle image; it is defined over
+    the group variants in groups, a cyclic one only with a prime modulus
+    (ranks need it).  A connected piece of rank r gets 2n' - off[r]."""
+
+    __slots__ = ()
+
+    @property
+    def off(self):
+        return tuple(p - t for p, t in zip(self.penalty, self.term))
+
+    def bound(self, counts):
+        """The right-hand side for a SubgraphCounts tuple."""
+        n, _, r, c0, c1, c2 = counts
+        p0, p1, p2 = self.penalty
+        return 2 * n + self.term[r] - p0 * c0 - p1 * c1 - p2 * c2
+
+    def refusal(self, spec):
+        """The error for a group the count is not defined over, or None."""
+        if spec.variant in self.groups and (
+                spec.variant != G.CYCLIC or G._is_prime(spec.moduli[0])):
+            return None
+        return UnsupportedGroupError("family %s is not defined over %s" % (self.family, spec))
+
+
+# terms 0, 0, r and max(2r - 1, 0)
+COUNTS = {c.family: c for c in (
+    Count(ROSS, (3, 2, 2), (0, 0, 0), (G.FREE2, G.CYCLIC_PQ)),
+    Count(CONE, (3, 1, 1), (0, 0, 0), (G.CYCLIC,)),
+    Count(CYLINDER, (3, 2, 2), (0, 1, 2), (G.FREE1,)),
+    Count(COLORED, (3, 2, 2), (0, 1, 3), (G.FREE2,)))}
+
+
+def family_count(family):
+    """The family's Count; an unknown family is a UsageError."""
+    if family not in FAMILIES:
+        raise UsageError("unknown family %r" % (family,))
+    return COUNTS[family]
+
 
 SparsityParams = namedtuple("SparsityParams", ["k", "l"])
 
@@ -64,21 +84,18 @@ DEFAULT_BUDGET = 24
 
 
 class UncoloredMultigraph:
-    """Undirected multigraph: vertex ids plus (id, u, v) edges.  Loops and
-    parallel edges are the whole point.  Pebble games run on positions
-    in `vertices`, read from one vertex -> position map."""
+    """Undirected multigraph: vertex ids plus (id, u, v) edges, or (u, v)
+    edges numbered in order; every id goes through groups.integer.  Loops
+    and parallel edges are the whole point.  Pebble games run on
+    positions in `vertices`, read from one vertex -> position map."""
 
     __slots__ = ("vertices", "edges", "_pos", "_byid")
 
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        out = []
-        for i, e in enumerate(edges):
-            if len(e) == 2:
-                out.append((i, int(e[0]), int(e[1])))
-            else:
-                out.append((int(e[0]), int(e[1]), int(e[2])))
-        self.edges = tuple(out)
+        self.vertices = tuple(map(G.integer, vertices))
+        self.edges = tuple(
+            tuple(map(G.integer, (i, *e) if len(e) == 2 else e[:3]))
+            for i, e in enumerate(edges))
         self._pos, self._byid = _index_graph(self.vertices, self.edges)
 
     @property
@@ -319,16 +336,7 @@ def verdict_line(v):
 
 def family_bound(family, counts):
     """Right-hand side of the family's count for a SubgraphCounts tuple."""
-    n, _, r, c0, c1, c2 = counts
-    if family == ROSS:
-        return 2 * n - 3 * c0 - 2 * (c1 + c2)
-    if family == CONE:
-        return 2 * n - 3 * c0 - c1 - c2
-    if family == CYLINDER:
-        return 2 * n + r - 3 * c0 - 2 * (c1 + c2)
-    if family == COLORED:
-        return 2 * n + max(2 * r - 1, 0) - 3 * c0 - 2 * (c1 + c2)
-    raise UsageError("unknown family %r" % (family,))
+    return family_count(family).bound(counts)
 
 
 def _subset_violates(g, family, edge_ids):
@@ -376,13 +384,9 @@ def check_colored_sparsity(g, family, budget=DEFAULT_BUDGET):
     """
     if budget < 0:
         raise UsageError("budget must be nonnegative, got %d" % budget)
-    if family not in FAMILIES:
-        raise UsageError("unknown family %r" % (family,))
-    if g.spec.variant not in _FAMILY_GROUPS[family]:
-        raise UsageError("family %s is not defined over %s" % (family, g.spec))
-    if family == CONE and not G._is_prime(g.spec.moduli[0]):
-        raise UnsupportedGroupError(
-            "cone count over composite Z/%d has no rank semantics" % g.spec.moduli)
+    refusal = family_count(family).refusal(g.spec)
+    if refusal is not None:
+        raise refusal
     if g.m > budget:
         raise BudgetExceededError(
             "%d edges exceeds the enumeration budget of %d" % (g.m, budget))
@@ -428,6 +432,20 @@ def _int_colors(spec, edges):
     return [a + kk * b for a, b in coords], kk * tt, kk
 
 
+def _walk_rule(count, spec):
+    """(off, keep, paired) of _search_violation: count.off over the ranks
+    the walk tells apart (rank 2 only over Z^2 where it pays otherwise
+    than rank 1: colored); paired when the term grows with r, so a
+    disjoint union can break the count; keep[r] the slack below which a
+    piece goes to keep_piece: the violations (s < 0) and, when paired,
+    rank r >= 1 pieces with deficiency m' - (2n' - 2) = 2 - off[r] - s > 0."""
+    off = count.off
+    off = off if spec.variant == G.FREE2 and off[2] != off[1] else off[:2]
+    paired = any(count.term)
+    keep = (0,) + tuple(2 - o if paired else 0 for o in off[1:])
+    return off, keep, paired
+
+
 def _search_violation(g, family):
     """First violating edge set found, or None.  Connected subsets are
     enumerated once each; disjoint combinations are checked as the family
@@ -442,20 +460,14 @@ def _search_violation(g, family):
     recursion, so nothing is undone on the way back.  With n' vertices
     and m' edges the slack is 2n' - m' - off[r]: a tree edge adds one,
     and a cycle edge takes one and, when its image raises the rank,
-    adds off[r] - off[r + 1].  Only the colored count tells rank 1 from
-    rank 2, by a cross product with the piece's first nonzero image
-    (its pivot); the other groups have rank at most 1, or (Ross) only
-    rank zero matters.
+    adds off[r] - off[r + 1].  Where off tells rank 2 from rank 1, a
+    cross product with the piece's first nonzero image (its pivot) does.
 
     Before the walk, (2,l) pebble games on the underlying graph decide
-    `flat`, which holds when no piece of rank r >= 1 can matter:
-
-        Ross               the graph is (2,2)-sparse
-        cone               the graph is (2,1)-sparse
-        cylinder, colored  (2,1)-sparse, and the (2,2) game rejects at
-                           most one edge
-
-    When it holds, the walk skips every rank >= 1 piece with its whole
+    `flat`, which holds when no piece of rank r >= 1 can matter: the
+    graph is (2, off[1])-sparse ((2,2) for Ross, (2,1) for the rest),
+    and for a paired count (cylinder, colored) the (2,2) game rejects at
+    most one edge.  When it holds, the walk skips every rank >= 1 piece with its whole
     subtree: an anchor that is a nonzero loop, and a cycle edge whose
     image raises r to 1.  Proof.  Rank never falls as a piece grows, so
     every piece below a skipped one has rank >= 1 too.  Every count
@@ -478,31 +490,20 @@ def _search_violation(g, family):
     m = len(edges)
     if m == 0:
         return None
-    lattice = family == COLORED
-    off = {ROSS: (3, 2), CONE: (3, 1), CYLINDER: (3, 1),
-           COLORED: (3, 1, -1)}[family]
+    off, keep, paired = _walk_rule(family_count(family), g.spec)
     top = len(off) - 1
+    lattice = top == 2
     # slack change of a cycle edge whose image raises the rank to 1, to 2
     up1 = off[0] - off[1] - 1
     up2 = off[1] - off[2] - 1 if lattice else 0
-    # Pieces with slack s < keep[r] go to keep_piece: the violations
-    # (s < 0) and, for the counts a disjoint union can break, the pieces
-    # of rank r >= 1 with deficiency m' - (2n' - 2) = 2 - off[r] - s > 0.
-    if family in (CYLINDER, COLORED):
-        keep = (0,) + tuple(2 - o for o in off[1:])
-    else:
-        keep = (0,) * len(off)
 
     ec, zmod, kk = _int_colors(g.spec, edges)
     half = kk // 2
     vidx = g._pos
 
     # flat: no piece of rank >= 1 can matter, so the walk skips them all
-    if family == ROSS:
-        flat = is_kl_sparse(g, (2, 2))
-    else:
-        flat = is_kl_sparse(g, (2, 1)) and (
-            family == CONE or m - len(kl_basis(g, (2, 2))) <= 1)
+    flat = is_kl_sparse(g, (2, off[1])) and (
+        not paired or m - len(kl_basis(g, (2, 2))) <= 1)
 
     ends = {}   # edge bit -> (tail vertex bit, head vertex bit, int colour)
     inc = {}    # vertex bit -> bits of its edges

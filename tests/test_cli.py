@@ -19,11 +19,14 @@ import pytest
 
 import gainsparse
 from gainsparse import (
+    CONSTRUCTIBLE,
     ColoredGraph,
     GroupSpec,
+    UsageError,
     cli,
     parse_certificate,
     parse_colored_graph,
+    random_construct,
     serialize_colored_graph,
     verify_certificate,
 )
@@ -149,15 +152,16 @@ def test_budget_hint_needs_lift_preconditions(tmp_path):
 
 
 def test_budget_hint_is_for_check_only(tmp_path):
-    # verify has no --method flag, so its budget error offers none
+    # verify has no --method flag, so its budget error offers none.  It
+    # runs one family check on the final graph, for Ross the brute count:
+    # 12 moves give 26 edges, above its 24 (README's certificate section)
     cert = tmp_path / "ross.txt"
     code, _, _ = run_cli(["construct", "--family", "ross", "--steps", 12,
                           "--seed", 1, cert])
     assert code == 0
     code, out, err = run_cli(["verify", cert])
     assert (code, out) == (3, "")
-    assert "exceeds the enumeration budget" in err
-    assert "--method" not in err
+    assert err == "error: 26 edges exceeds the enumeration budget of 24\n"
 
 
 def test_budget_hint_is_for_lift_families(tmp_path):
@@ -223,6 +227,51 @@ def test_deconstruct_balanced_input_is_a_usage_error(tmp_path, family, group):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "nonzero cycle image" in err
     assert not (tmp_path / "cert.txt").exists()
+
+
+def _refusals(tmp_path, family, group):
+    """(exit code, stderr) of every route that refuses a group: check
+    by both methods and, for a constructible family, deconstruct and
+    random_construct(group=...), the last as ("raised", message)."""
+    spec = GroupSpec.parse(group)
+    color = (1,) * spec.ncoords
+    # m = 2n - 1, so the lift route refuses nothing but the group
+    f = write_graph(tmp_path / "g.txt", ColoredGraph(
+        spec, [0, 1], [(0, 1, color), (0, 1, color), (1, 1, color)]))
+    argvs = [["check", f, "--family", family, "--method", method]
+             for method in ("brute", "lift")]
+    if family in CONSTRUCTIBLE:
+        argvs.append(["deconstruct", f, "--family", family,
+                      tmp_path / "c.txt"])
+    out = [(code, err) for code, _, err in map(run_cli, argvs)]
+    if family in CONSTRUCTIBLE:
+        with pytest.raises(UsageError) as exc:
+            random_construct(family, 2, 1, group=spec)
+        out.append(("raised", str(exc.value)))
+    return out
+
+
+@pytest.mark.parametrize("family,group", [
+    ("cylinder", "Z/5"), ("cylinder", "Z^2"), ("cone", "Z"),
+    ("cone", "Z/4"), ("cone", "Z/3xZ/5"), ("ross", "Z/5"), ("ross", "Z"),
+    ("colored", "Z"), ("colored", "Z/3xZ/5")])
+def test_group_refusal_has_one_message(tmp_path, family, group):
+    # one message on every route, a composite cone modulus included
+    msg = "family %s is not defined over %s" % (family, group)
+    routes = _refusals(tmp_path, family, group)
+    assert routes[:2] == [(2, "error: %s\n" % msg)] * 2
+    assert routes[2:] == ([(2, "error: %s\n" % msg), ("raised", msg)]
+                          if family in CONSTRUCTIBLE else [])
+
+
+def test_ross_over_a_product_group_is_not_constructed(tmp_path):
+    # the Ross count is defined over Z/3xZ/5, its construction is not
+    msg = "family ross is constructed over Z^2 only, not Z/3xZ/5"
+    assert _refusals(tmp_path, "ross", "Z/3xZ/5") == [
+        (1, ""),
+        (2, "error: method=lift supports families cone and cylinder, "
+            "not ross\n"),
+        (2, "error: %s\n" % msg), ("raised", msg)]
 
 
 def test_budget_flag_raises_cap(tmp_path):

@@ -45,6 +45,19 @@ def test_construction_validates_endpoints_and_colors():
         _graph(Z5, [0], [(0, 0, 0, (1, 2))])
 
 
+@pytest.mark.parametrize("bad", [0.9, 2.0, "0", True])
+def test_ids_and_colors_must_be_integers(bad):
+    # refused, not truncated: vertex 0.9 is not vertex 0
+    cases = [([bad], []),                       # vertex id
+             ([0, 1], [(bad, 0, 1, 1)]),         # edge id
+             ([0, 1], [(0, bad, 1, 1)]),         # tail
+             ([0, 1], [(0, 0, bad, 1)]),         # head
+             ([0], [(0, 0, bad)])]                # colour
+    for vertices, edges in cases:
+        with pytest.raises(UsageError, match="expected an integer"):
+            ColoredGraph(Z5, vertices, edges)
+
+
 def test_duplicate_edge_ids_rejected():
     with pytest.raises(UsageError):
         _graph(Z5, [0, 1], [(0, 0, 1, (1,)), (0, 1, 0, (2,))])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gainsparse import (
     CYCLIC,
+    GroupElem,
     GroupSpec,
     UnsupportedGroupError,
     UsageError,
@@ -205,3 +206,30 @@ def test_add_commutes_and_associates(si, a, b, c):
     assert (x + y) + z == x + (y + z)
     assert -(-x) == x
     assert (x + (-x)).is_zero()
+
+
+class _Index:
+    """An integer type other than int: it has __index__ and nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "12", True, False, None])
+def test_coordinates_must_be_integers(bad):
+    # refused, not truncated: 2.7 is not 2, "12" not 12, True not 1
+    with pytest.raises(UsageError, match="expected an integer"):
+        Z5.elem(bad)
+    with pytest.raises(UsageError, match="expected an integer"):
+        Z2.elem(1, bad)
+    with pytest.raises(UsageError, match="expected an integer"):
+        GroupElem(Z, (bad,))
+
+
+def test_integer_types_pass_through_operator_index():
+    assert Z5.elem(_Index(7)) == Z5.elem(2)
+    assert Z2.elem(_Index(-1), 3).coords == (-1, 3)
+    assert type(Z.elem(_Index(4)).coords[0]) is int

@@ -14,6 +14,7 @@ from gainsparse import (
     InternalInvariantError,
     NoCircuitError,
     SparsityParams,
+    SubgraphCounts,
     UncoloredMultigraph,
     UsageError,
     check_colored_sparsity,
@@ -24,6 +25,7 @@ from gainsparse import (
     underlying,
     verdict_line,
 )
+from gainsparse.sparsity import COUNTS, _walk_rule
 from oracles import arc_reach, colored_subset_counts, colored_verdict, \
     describe_group, family_bound, kl_sparse_edge_subsets
 
@@ -550,3 +552,30 @@ def test_near_bound_graphs_match_oracle(fi, n, seed):
               tuple(rng.randint(-2, 2) for _ in range(spec.ncoords)))
              for i in range(m)]
     _assert_matches_oracle(ColoredGraph(spec, range(n), edges), family)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(COUNTS)), st.integers(0, 40),
+       st.integers(0, 2), st.integers(0, 9), st.integers(0, 9),
+       st.integers(0, 9))
+def test_count_record_matches_the_written_out_bounds(family, n, r, c0, c1, c2):
+    counts = SubgraphCounts(n, 0, r, c0, c1, c2)
+    assert gainsparse.family_bound(family, counts) == \
+        family_bound(family, n, r, c0, c1, c2)
+
+
+# the walk's tables written out per family: (off, keep, l of the flat
+# gate's (2, l) game, paired), which the record must reproduce over
+# every group the family is defined over
+_WALK_TABLES = {"ross": ((3, 2), (0, 0), 2, False),
+                "cone": ((3, 1), (0, 0), 1, False),
+                "cylinder": ((3, 1), (0, 1), 1, True),
+                "colored": ((3, 1, -1), (0, 1, 3), 1, True)}
+
+
+@pytest.mark.parametrize("family, spec", [
+    ("ross", Z2), ("ross", Z3x5), ("cone", Z3), ("cone", Z5),
+    ("cylinder", Z), ("colored", Z2)])
+def test_walk_tables_derive_from_the_record(family, spec):
+    off, keep, paired = _walk_rule(COUNTS[family], spec)
+    assert (off, keep, off[1], paired) == _WALK_TABLES[family]

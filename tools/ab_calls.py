@@ -18,12 +18,22 @@ ratio is the change's figure over the parent's: below 1 the change ran
 faster.  Prints every round's ratio, the median ratio with its
 quartiles, and in how many rounds the change was faster.
 
+It also prints, per tree, the median seconds of one whole cycle (every
+timed call plus its reference reading, which is what the benchmark's
+worker spends per cycle but for its output digests) and the number of
+timings a run of BENCHMARK.json's run_seconds would pool at that speed:
+the worker stops at the first whole cycle after run_seconds, with at
+least worker.MIN_ITEMS calls.  From HD_LIMIT pooled timings on,
+perfbench/stats.hd_quantile underflows (a wrong p50 first, then
+ZeroDivisionError), so a count at or above it is flagged.
+
 Only the standard library runs; perfbench is imported and not changed,
 and no bytecode or output file is written into either tree.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -31,12 +41,16 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 sys.dont_write_bytecode = True
 
 import gen  # noqa: E402
 import reference  # noqa: E402
 import worker  # noqa: E402
+
+# pooled timings from which stats.hd_quantile goes wrong
+HD_LIMIT = 1075
 
 
 def run_plan(tree, plan_path, out_path):
@@ -72,9 +86,16 @@ def _run_tree(tree, plan_path, out_path):
         return json.load(fh)
 
 
+def pooled(cycle_s, calls, run_s):
+    """Timings a run of run_s seconds pools when a whole cycle of
+    `calls` calls takes cycle_s seconds."""
+    return calls * max(math.ceil(run_s / cycle_s),
+                       math.ceil(worker.MIN_ITEMS / calls))
+
+
 def rounds(parent, change, workload, seed, count, work):
-    """Yield (round, parent figure, change figure), each calls over
-    references."""
+    """Yield (round, {side: the child's result}) for side "parent" and
+    "change"."""
     plan = gen.build(workload, seed, os.path.join(work, "plan"))
     plan_path = os.path.join(work, "plan.json")
     with open(plan_path, "w") as fh:
@@ -84,11 +105,8 @@ def rounds(parent, change, workload, seed, count, work):
         order = [("parent", parent), ("change", change)]
         if r % 2:
             order.reverse()
-        figure = {}
-        for side, tree in order:
-            res = _run_tree(tree, plan_path, out_path)
-            figure[side] = res["call_s"] / res["ref_s"]
-        yield r, figure["parent"], figure["change"]
+        yield r, {side: _run_tree(tree, plan_path, out_path)
+                  for side, tree in order}
 
 
 def main(argv=None):
@@ -106,19 +124,36 @@ def main(argv=None):
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
     trees = [os.path.abspath(t) for t in (args.parent, args.change)]
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        run_s = json.load(fh)["run_seconds"]
     ratios = []
+    cycles = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-calls-") as work:
-        for r, p, c in rounds(trees[0], trees[1], args.workload, args.seed,
-                              args.rounds, work):
+        for r, res in rounds(trees[0], trees[1], args.workload, args.seed,
+                             args.rounds, work):
+            p, c = (res[side]["call_s"] / res[side]["ref_s"]
+                    for side in ("parent", "change"))
             ratios.append(c / p)
+            for side in cycles:
+                cycles[side].append(res[side]["call_s"] + res[side]["ref_s"])
             print("round %d: parent %.3f change %.3f ratio %.3f"
                   % (r + 1, p, c, ratios[-1]), flush=True)
+    calls = res["parent"]["calls"]
     quart = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
              else [ratios[0]] * 3)
     print("median change/parent ratio %.3f (quartiles %.3f-%.3f); "
           "change faster in %d of %d rounds"
           % (statistics.median(ratios), quart[0], quart[2],
              sum(x < 1 for x in ratios), len(ratios)))
+    for side, secs in cycles.items():
+        cycle_s = statistics.median(secs)
+        count = pooled(cycle_s, calls, run_s)
+        print("%s: %.3f s per whole cycle of %d calls; a %g s run pools %d "
+              "timings" % (side, cycle_s, calls, run_s, count))
+        if count >= HD_LIMIT:
+            print("WARNING: %s would pool %d timings, at or above the %d "
+                  "from which stats.hd_quantile goes wrong"
+                  % (side, count, HD_LIMIT))
     return 0
 
 
