@@ -41,7 +41,7 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
 from . import groups as G
 from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
                      parse_colored_graph, serialize_colored_graph)
-from .lifts import (reduce_colors, odd_prime_cyclic, lift_witness,
+from .lifts import (reduce_colors, lift_refusal, lift_witness,
                     disjoint_circuit_witness)
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
@@ -97,8 +97,7 @@ def family_def(name, spec=None):
         fam = CONSTRUCTIBLE[name]
     except KeyError:
         raise UsageError("no inductive construction for family %r" % (name,))
-    refusal = None if spec is None else _group_refusal(fam, spec)
-    if refusal is not None:
+    if spec is not None and (refusal := _group_refusal(fam, spec)) is not None:
         raise refusal
     return fam
 
@@ -190,30 +189,9 @@ def _lift_violation(g, family):
     return found
 
 
-def _lift_refusal(g, family):
-    """The error method="lift" raises on g, or None when it takes g.
-    The route decides one connected unbalanced component's count,
-    m = 2n - off[1], which is 2n - 1 for cone and cylinder alike."""
-    count = family_count(family)
-    refusal = count.refusal(g.spec)
-    if refusal is not None:
-        return refusal
-    if family not in (CONE, CYLINDER):
-        return UsageError(
-            "method=lift supports families cone and cylinder, not %s" % family)
-    if family == CONE and not odd_prime_cyclic(g.spec):
-        return UsageError(
-            "method=lift needs Z/p colors with p an odd prime, got %s" % g.spec)
-    if g.m != 2 * g.n - count.off[1]:
-        return PreconditionError(
-            "method=lift decides tightness and needs m = 2n - %d; "
-            "got n=%d m=%d (use --method brute)" % (count.off[1], g.n, g.m))
-    return None
-
-
 def lift_applies(g, family):
     """Does check(g, family, method="lift") take g?"""
-    return _lift_refusal(g, family) is None
+    return lift_refusal(g, family) is None
 
 
 def check(g, family, method="brute", budget=DEFAULT_BUDGET):
@@ -233,8 +211,7 @@ def check(g, family, method="brute", budget=DEFAULT_BUDGET):
         return check_colored_sparsity(g, family, budget=budget)
     if method != "lift":
         raise UsageError("method is brute or lift, not %r" % (method,))
-    refusal = _lift_refusal(g, family)
-    if refusal is not None:
+    if (refusal := lift_refusal(g, family)) is not None:
         raise refusal
     found = _lift_violation(g, family)
     if found is None:
@@ -463,10 +440,11 @@ def deconstruct(g, family):
 def verify_certificate(cert):
     """Replay cert from its base and return the final graph.
 
-    The base must be the family's base graph, every move kind must be
-    allowed for the family, and every move must pass apply_move's local
-    rules.  Failures raise CertificateError carrying the 0-based index
-    of the offending move (-1 for the base).
+    The base's group is refused as construct refuses it (family_def, a
+    UsageError).  The base must be the family's base graph, every move
+    kind must be allowed for the family, and every move must pass
+    apply_move's local rules.  Failures raise CertificateError carrying
+    the 0-based index of the offending move (-1 for the base).
 
     No prefix is checked for tightness: a base is tight, and by the
     forward theorem a move that passes its local rules keeps a tight
@@ -474,7 +452,7 @@ def verify_certificate(cert):
     graph of a nonempty move list confirms that; if it fails the
     library is wrong, not the certificate, and InternalInvariantError
     is raised."""
-    fam = family_def(cert.family)
+    fam = family_def(cert.family, cert.base.spec)
     if not is_base(cert.base, cert.family):
         raise CertificateError(-1, "base graph is not a %s base" % cert.family)
     g = cert.base
@@ -541,6 +519,11 @@ def random_construct(family, steps, seed, group=None):
     The cone group is picked from Z/3, Z/5, Z/7 unless `group` pins one;
     Ross and cylinder groups are fixed by the family.
     """
+    return _construct(family, steps, seed, group)[0]
+
+
+def _construct(family, steps, seed, group=None):
+    """random_construct's certificate and the graph its moves built."""
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     fam = family_def(family, group)
@@ -566,7 +549,7 @@ def random_construct(family, steps, seed, group=None):
         else:
             raise GenerationError(
                 "no admissible %s move found in %d tries" % (family, _RETRY_CAP))
-    return Certificate(family, base, tuple(moves))
+    return Certificate(family, base, tuple(moves)), g
 
 
 # --- certificate text format ---------------------------------------------

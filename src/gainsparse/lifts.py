@@ -17,9 +17,10 @@ connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
 Z colors are first reduced modulo a safe prime that no cycle sum can
 reach; a cover above MAX_COVER is refused before it is built.
-lift_witness is the one call from a graph to the lift check, and
-disjoint_circuit_witness the cylinder witness when spanning fails;
-sparsity._minimize_witness checks and shrinks either's set.
+lift_refusal states what the lift check takes, lift_witness is the one
+call from a graph to it, disjoint_circuit_witness the cylinder witness
+when spanning fails, and sparsity._minimize_witness checks and shrinks
+either's set.
 """
 
 from collections import namedtuple
@@ -28,8 +29,8 @@ from .errors import (UsageError, UnsupportedGroupError, PreconditionError,
                      NoCircuitError, InternalInvariantError)
 from . import groups as G
 from .graphs import ColoredGraph, components
-from .sparsity import (UncoloredMultigraph, fundamental_circuit, _PebbleGame,
-                       _run_game)
+from .sparsity import (CONE, CYLINDER, UncoloredMultigraph, family_count,
+                       fundamental_circuit, _PebbleGame, _run_game)
 # Unused here: perfbench/spans.py patches both by name and fails without.
 from .sparsity import kl_basis, is_kl_sparse  # noqa: F401
 
@@ -153,18 +154,13 @@ def _shift(spec, gi, coords):
     return (a + coords[0]) % p * q + (b + coords[1]) % q
 
 
-def odd_prime_cyclic(spec):
-    """Is spec Z/p for an odd prime p, the cyclic groups lifts exist over?"""
-    return (spec.variant == G.CYCLIC and spec.moduli[0] % 2 == 1
-            and G._is_prime(spec.moduli[0]))
-
-
 def _require_liftable(spec):
-    if spec.variant == G.CYCLIC and not odd_prime_cyclic(spec):
+    odd_p = (spec.variant == G.CYCLIC and spec.moduli[0] != 2
+             and G._is_prime(spec.moduli[0]))
+    if not (odd_p or spec.variant == G.CYCLIC_PQ):
         raise UnsupportedGroupError(
-            "lifts need an odd prime modulus, got Z/%d" % spec.moduli[0])
-    if not spec.finite:
-        raise UnsupportedGroupError("cannot lift over the infinite group %s" % spec)
+            "lifts exist over Z/p, p an odd prime, and Z/pxZ/q only, not %s"
+            % spec)
 
 
 def build_lift(g):
@@ -227,11 +223,12 @@ def path_color_sum(g, edge_ai, i, edge_ib):
 
 
 def lift_witness(g):
-    """Play the (2,3) pebble game on the lift of a graph over Z/p (p an
-    odd prime) with 2n-1 edges, offering the arcs the lift generates,
-    up to its first rejection, f.  None when g is cone-Laman, else a
-    violating base edge set P: the base edges under f's circuit D, which
-    the game names as it rejects f by reading the arcs before f back.
+    """Play the (2,3) pebble game on the lift of g, a graph lift_refusal
+    takes for cone or reduce_colors of one it takes for cylinder, offering
+    the arcs the lift generates up to its first rejection, f.  None when
+    g is cone-Laman, else a violating base edge set P: the base edges
+    under f's circuit D, which the game names as it rejects f by reading
+    the arcs before f back.
 
     The cone count is 2(n' - c0) - 1 on nonempty sets, twice the frame
     matroid's rank (Zaslavsky, JCTB 1991) minus one, so cone-sparse sets
@@ -248,12 +245,6 @@ def lift_witness(g):
     larger and not violating, the guard of sparsity._minimize_witness
     would fail loudly.
     """
-    if not odd_prime_cyclic(g.spec):
-        raise UnsupportedGroupError(
-            "the lift criterion needs Z/p for an odd prime p, got %s" % g.spec)
-    if g.m != 2 * g.n - 1:
-        raise PreconditionError(
-            "lift criterion needs m = 2n - 1, got n=%d m=%d" % (g.n, g.m))
     sg = build_lift(g)
     game = _PebbleGame(sg.n, 2, 3)
     f = next(game.play(sg.arcs), None)
@@ -263,12 +254,35 @@ def lift_witness(g):
     return frozenset(beids[i // N] for i in game.circuit(f))
 
 
+def lift_refusal(g, family):
+    """The error the lift route raises on g in family, or None when it
+    takes g: the family's Count.refusal, then cone or cylinder only, an
+    odd p for cone, and m = 2n - off[1] (one connected unbalanced
+    component's count, 2n - 1 for both)."""
+    count = family_count(family)
+    if (refusal := count.refusal(g.spec)) is not None:
+        return refusal
+    if family not in (CONE, CYLINDER):
+        return UsageError(
+            "method=lift supports families cone and cylinder, not %s" % family)
+    if family == CONE and g.spec.moduli[0] == 2:
+        return UnsupportedGroupError("method=lift needs Z/p colors with p "
+                                     "an odd prime, got %s" % g.spec)
+    if g.m != 2 * g.n - count.off[1]:
+        return PreconditionError(
+            "method=lift decides tightness and needs m = 2n - %d; "
+            "got n=%d m=%d (use --method brute)" % (count.off[1], g.n, g.m))
+    return None
+
+
 def cone_laman_via_lift(g):
     """Decide cone-Laman-ness of a graph with 2n-1 edges by testing its
-    lift for (2,3)-sparsity with the pebble game.  This is the
-    polynomial-time route; the brute-force count is the oracle it is
-    checked against.
+    lift for (2,3)-sparsity with the pebble game, on what lift_refusal
+    takes.  This is the polynomial-time route; the brute-force count is
+    the oracle it is checked against.
     """
+    if (refusal := lift_refusal(g, CONE)) is not None:
+        raise refusal
     return lift_witness(g) is None
 
 
@@ -291,8 +305,8 @@ def reduce_colors(g):
     (-p, p).  Whether a subgraph's cycle sums are all zero is therefore
     preserved; a cover above MAX_COVER is refused before p is sought.
     """
-    if g.spec.variant != G.FREE1:
-        raise UsageError("reduce_colors expects Z colors, got %s" % g.spec)
+    if (refusal := family_count(CYLINDER).refusal(g.spec)) is not None:
+        raise refusal
     total = sum(abs(e.color.coords[0]) for e in g.edges)
     _check_cover(2 * (total + 1) * (g.n + g.m))
     p = _next_odd_prime(2 * (total + 1))

@@ -384,8 +384,7 @@ def check_colored_sparsity(g, family, budget=DEFAULT_BUDGET):
     """
     if budget < 0:
         raise UsageError("budget must be nonnegative, got %d" % budget)
-    refusal = family_count(family).refusal(g.spec)
-    if refusal is not None:
+    if (refusal := family_count(family).refusal(g.spec)) is not None:
         raise refusal
     if g.m > budget:
         raise BudgetExceededError(

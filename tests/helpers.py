@@ -1,19 +1,15 @@
 """Builders and checks that more than one test module uses."""
 
-from gainsparse import (SparsityParams, UncoloredMultigraph, apply_move,
-                        is_kl_sparse, random_construct)
+from gainsparse import SparsityParams, UncoloredMultigraph, is_kl_sparse
+from gainsparse.henneberg import _construct
 
 P23 = SparsityParams(2, 3)
 
 
 def certificate_graph(family, steps, seed, group=None):
-    """The graph of random_construct(family, steps, seed, group), replayed
-    move by move through apply_move."""
-    cert = random_construct(family, steps, seed, group=group)
-    g = cert.base
-    for mv in cert.moves:
-        g = apply_move(g, mv)
-    return g
+    """The graph of random_construct(family, steps, seed, group), as its
+    construction built it."""
+    return _construct(family, steps, seed, group)[1]
 
 
 def is_circuit_23(mg, edge_ids):

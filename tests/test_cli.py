@@ -22,11 +22,17 @@ from gainsparse import (
     CONSTRUCTIBLE,
     ColoredGraph,
     GroupSpec,
+    PreconditionError,
+    UnsupportedGroupError,
     UsageError,
+    build_lift,
+    check,
     cli,
+    cone_laman_via_lift,
     parse_certificate,
     parse_colored_graph,
     random_construct,
+    reduce_colors,
     serialize_colored_graph,
     verify_certificate,
 )
@@ -274,6 +280,119 @@ def test_ross_over_a_product_group_is_not_constructed(tmp_path):
         (2, "error: %s\n" % msg), ("raised", msg)]
 
 
+def _cover_refusal(group):
+    return ("lifts exist over Z/p, p an odd prime, and Z/pxZ/q only, not %s"
+            % group)
+
+
+_ODD_P = "method=lift needs Z/p colors with p an odd prime, got Z/2"
+_SQUARE = ("method=lift decides tightness and needs m = 2n - 1; "
+           "got n=2 m=4 (use --method brute)")
+_DEFINED = "family %s is not defined over %s"
+
+# (family, group, edges beyond 2n - 1, {route: (class, message), or None
+# where the route takes the input}).  lift_refusal is the one gate of
+# check(method="lift") (and so of the CLI), cone_laman_via_lift and,
+# through the cylinder count, reduce_colors; build_lift keeps the
+# cover's own rule.
+LIFT_REFUSALS = [
+    ("cone", "Z/2", 0, {
+        "check": (UnsupportedGroupError, _ODD_P),
+        "cone_laman_via_lift": (UnsupportedGroupError, _ODD_P),
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z/2"))}),
+    ("cone", "Z/4", 0, {
+        "check": (UnsupportedGroupError, _DEFINED % ("cone", "Z/4")),
+        "cone_laman_via_lift": (UnsupportedGroupError,
+                                _DEFINED % ("cone", "Z/4")),
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z/4"))}),
+    ("cone", "Z/3xZ/5", 0, {
+        "check": (UnsupportedGroupError, _DEFINED % ("cone", "Z/3xZ/5")),
+        "cone_laman_via_lift": (UnsupportedGroupError,
+                                _DEFINED % ("cone", "Z/3xZ/5")),
+        "build_lift": None}),
+    ("cone", "Z", 0, {
+        "check": (UnsupportedGroupError, _DEFINED % ("cone", "Z")),
+        "cone_laman_via_lift": (UnsupportedGroupError,
+                                _DEFINED % ("cone", "Z")),
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z"))}),
+    ("cylinder", "Z/5", 0, {
+        "check": (UnsupportedGroupError, _DEFINED % ("cylinder", "Z/5")),
+        "reduce_colors": (UnsupportedGroupError,
+                          _DEFINED % ("cylinder", "Z/5")),
+        "build_lift": None}),
+    ("cylinder", "Z^2", 0, {
+        "check": (UnsupportedGroupError, _DEFINED % ("cylinder", "Z^2")),
+        "reduce_colors": (UnsupportedGroupError,
+                          _DEFINED % ("cylinder", "Z^2")),
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z^2"))}),
+    ("cone", "Z/3", 1, {
+        "check": (PreconditionError, _SQUARE),
+        "cone_laman_via_lift": (PreconditionError, _SQUARE),
+        "build_lift": None}),
+    ("cylinder", "Z", 1, {
+        "check": (PreconditionError, _SQUARE),
+        "reduce_colors": None,
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z"))}),
+    ("ross", "Z^2", 0, {
+        "check": (UsageError,
+                  "method=lift supports families cone and cylinder, not ross"),
+        "build_lift": (UnsupportedGroupError, _cover_refusal("Z^2"))}),
+    ("ross", "Z/3xZ/5", 0, {
+        "check": (UsageError,
+                  "method=lift supports families cone and cylinder, not ross"),
+        "build_lift": None}),
+]
+
+_LIFT_ROUTES = {
+    "check": lambda g, family: check(g, family, method="lift"),
+    "cone_laman_via_lift": lambda g, family: cone_laman_via_lift(g),
+    "reduce_colors": lambda g, family: reduce_colors(g),
+    "build_lift": lambda g, family: build_lift(g),
+}
+
+
+@pytest.mark.parametrize("family,group,extra,routes", LIFT_REFUSALS)
+def test_lift_refusal_has_one_class_and_message(tmp_path, family, group,
+                                                extra, routes):
+    spec = GroupSpec.parse(group)
+    color = (1,) * spec.ncoords
+    g = ColoredGraph(spec, [0, 1], [(0, 1, color), (0, 1, color),
+                                    (1, 1, color)] + [(0, 0, color)] * extra)
+    for route, want in routes.items():
+        if want is None:
+            _LIFT_ROUTES[route](g, family)
+            continue
+        with pytest.raises(UsageError) as exc:
+            _LIFT_ROUTES[route](g, family)
+        assert (type(exc.value), str(exc.value)) == want, route
+    f = write_graph(tmp_path / "g.txt", g)
+    assert run_cli(["check", f, "--family", family, "--method", "lift"]) == (
+        2, "", "error: %s\n" % routes["check"][1])
+
+
+@pytest.mark.parametrize("family,group,base,cls,message", [
+    ("cone", "Z/4", "vertices 1\nedge 0 0 1", UnsupportedGroupError,
+     "family cone is not defined over Z/4"),
+    ("cylinder", "Z/5", "vertices 1\nedge 0 0 1", UnsupportedGroupError,
+     "family cylinder is not defined over Z/5"),
+    ("ross", "Z/3xZ/5", "vertices 2\nedge 0 1 1,0\nedge 0 1 0,1", UsageError,
+     "family ross is constructed over Z^2 only, not Z/3xZ/5")])
+def test_verify_refuses_a_group_as_construct_does(tmp_path, family, group,
+                                                  base, cls, message):
+    # the group is refused before the base is read, with the class and
+    # message construct and deconstruct give, and exit 2, not 1
+    f = tmp_path / "cert.txt"
+    f.write_text("family %s\nbegin base\ngroup %s\n%s\nend base\n"
+                 % (family, group, base))
+    assert run_cli(["verify", f]) == (2, "", "error: %s\n" % message)
+    for route in (lambda: verify_certificate(parse_certificate(f.read_text())),
+                  lambda: random_construct(family, 1, 1,
+                                           group=GroupSpec.parse(group))):
+        with pytest.raises(UsageError) as exc:
+            route()
+        assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
 def test_budget_flag_raises_cap(tmp_path):
     f = write_graph(tmp_path / "ring.txt", _long_cycle())
     code, out, _ = run_cli(["check", f, "--family", "cylinder",
@@ -423,12 +542,18 @@ def test_construct_verify_deconstruct_verify(tmp_path, family):
 
 
 def test_verify_invalid_certificate(tmp_path):
+    # a zero base over the right group is an invalid certificate (exit
+    # 1); a wrong group is refused before it (exit 2)
     f = tmp_path / "cert.txt"
-    f.write_text("family cone\nbegin base\ngroup Z/5\nvertices 1\n"
-                 "edge 0 0 0\nend base\n")
-    code, _, err = run_cli(["verify", f])
-    assert code == 1
-    assert "invalid certificate" in err
+    for family, base in (
+            ("cone", "group Z/5\nvertices 1\nedge 0 0 0"),
+            ("cylinder", "group Z\nvertices 1\nedge 0 0 0"),
+            ("ross", "group Z^2\nvertices 2\nedge 0 1 0,0\nedge 0 1 0,0")):
+        f.write_text("family %s\nbegin base\n%s\nend base\n"
+                     % (family, base))
+        assert run_cli(["verify", f]) == (
+            1, "", "invalid certificate: step -1: base graph is not a %s "
+            "base\n" % family)
 
 
 def test_verify_unparsable_certificate(tmp_path):

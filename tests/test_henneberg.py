@@ -537,7 +537,7 @@ def test_accepted_moves_keep_tight_graphs_tight(spec_row, steps, seed,
     # `repeat` forces the edge cases: h1c with a == b, and h2c whose
     # third vertex is an endpoint of the split edge
     family, spec = spec_row
-    g = verify_certificate(random_construct(family, steps, seed, group=spec))
+    g = certificate_graph(family, steps, seed, spec)
     assert _brute_tight(g, family)
     color = _colors(spec)
     verts = sorted(g.vertices)
@@ -573,7 +573,7 @@ def test_reverse_vertex_deletions_of_tight_graphs_are_tight(spec_row, steps,
     # count alone; every such predecessor of a constructed graph must be
     # tight by brute force, so that count decides what the full check did
     family, spec = spec_row
-    g = verify_certificate(random_construct(family, steps, seed, group=spec))
+    g = certificate_graph(family, steps, seed, spec)
     for v in sorted(g.vertices):
         try:
             cands = reverse_candidates(g, v, family)
@@ -690,8 +690,7 @@ def test_deconstruct_holds_one_graph():
     # each step keeps its move and at most one edge, not the predecessor
     # graph: the 200-move strip's traced peak reads about 0.4 MB, and
     # 6.2-6.5 MB with every predecessor kept
-    g = verify_certificate(random_construct("cone", 200, 1,
-                                            group=GroupSpec.cyclic(3)))
+    g = certificate_graph("cone", 200, 1, GroupSpec.cyclic(3))
     tracemalloc.start()
     try:
         back = deconstruct(g, "cone")

@@ -8,7 +8,7 @@ new graph, though the route may report a different one.
 
 The lift route (check(..., method="lift")) is checked against itself
 above the brute-force budget of 24 edges.  Its inputs are certificate
-graphs (random_construct, replayed) with one plain edge rewired or
+graphs (as random_construct builds them) with one plain edge rewired or
 recoloured, so m = 2n - 1 still holds: cone over Z/3, Z/5 and Z/7 at
 n = 50-300 and cylinder over Z at n = 20-60.  Cylinder stays small
 because its cover grows with m(n + m).

@@ -6,6 +6,7 @@ import tracemalloc
 
 import networkx as nx
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import gainsparse.lifts
@@ -512,6 +513,36 @@ def test_reduction_preserves_rank_zero_structure(seed):
                             [(e.id, e.tail, e.head, e.color.coords)
                              for e in rg.edges if e.id in keep])
         assert (rho_rank(sub.full()) == 0) == (rho_rank(rsub.full()) == 0)
+
+
+def _mod(g, p):
+    """The Z graph g with its colours reduced mod p, over Z/p."""
+    return ColoredGraph(GroupSpec.cyclic(p), g.vertices,
+                        [(e.id, e.tail, e.head, (e.color.coords[0] % p,))
+                         for e in g.edges])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=3, max_value=60),
+       st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_a_small_prime_pass_is_a_safe_prime_pass(steps, seed, rewire):
+    # reducing Z colours mod an odd prime p never makes a balanced set
+    # unbalanced, so every set's cone bound mod p is at most its bound
+    # over Z: a graph whose colours mod p pass the lift check passes it
+    # with the safe prime of reduce_colors too.  p0, the smallest odd
+    # prime above 3 max|c|, keeps every cycle of up to three edges nonzero
+    g = certificate_graph("cylinder", steps, seed)
+    if rewire:
+        rng = random.Random(seed)
+        edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
+        i = rng.choice([i for i, e in enumerate(edges) if e[1] != e[2]])
+        edges[i] = (edges[i][0], *rng.sample(g.vertices, 2), edges[i][3])
+        g = ColoredGraph(Z, g.vertices, edges)
+    assert g.m == 2 * g.n - 1
+    safe = cone_laman_via_lift(reduce_colors(g)[0])
+    p0 = sympy.nextprime(3 * max(abs(e.color.coords[0]) for e in g.edges))
+    for p in (3, 5, 7, p0):
+        assert safe or not cone_laman_via_lift(_mod(g, p)), p
 
 
 def test_gauge_shift_gives_isomorphic_lift():

@@ -32,6 +32,9 @@ from oracles import arc_reach, colored_subset_counts, colored_verdict, \
 P21 = SparsityParams(2, 1)
 P22 = SparsityParams(2, 2)
 P23 = SparsityParams(2, 3)
+# every (k, l) with k <= 3 and 0 <= l < 2k: the range the pebble game
+# is a matroid test on
+ALL_KL = [SparsityParams(k, l) for k in (1, 2, 3) for l in range(2 * k)]
 
 Z = GroupSpec.parse("Z")
 Z3 = GroupSpec.parse("Z/3")
@@ -142,11 +145,10 @@ def test_fundamental_circuit_spanning_two_triangles():
     assert circuit == matching[0]
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=600)
 @given(st.integers(min_value=1, max_value=5),
        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=9),
-       st.sampled_from([P23, P22, SparsityParams(1, 1), SparsityParams(3, 3)]),
-       st.randoms(use_true_random=False))
+       st.sampled_from(ALL_KL), st.randoms(use_true_random=False))
 def test_fundamental_circuit_matches_exchange_definition(n, pairs, params, rng):
     # circuit of e = {e} + {f in B : B - f + e is sparse}, with sparsity
     # settled by the literal subset scan
@@ -171,10 +173,10 @@ def test_fundamental_circuit_matches_exchange_definition(n, pairs, params, rng):
         assert circuit == fundamental_circuit(g, params, basis, f)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(deadline=None, max_examples=900)
 @given(st.integers(min_value=1, max_value=6),
        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=18),
-       st.sampled_from([SparsityParams(1, 1), P21, P22, P23]))
+       st.sampled_from(ALL_KL))
 def test_region_is_what_the_stuck_searches_reach(n, pairs, params):
     # a failed search marks all it can reach, so the marks the rejected
     # insert left are the longhand walk from the rejected edge's ends
@@ -192,10 +194,10 @@ def test_fundamental_circuit_requires_dependence():
         fundamental_circuit(TRIANGLE, P23, basis, 2)
 
 
-@settings(deadline=None, max_examples=250)
+@settings(deadline=None, max_examples=750)
 @given(st.integers(min_value=1, max_value=5),
        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),
-       st.sampled_from([P21, P22, P23]))
+       st.sampled_from(ALL_KL))
 def test_pebble_matches_subset_oracle(n, pairs, params):
     pairs = [(u % n, v % n) for u, v in pairs]
     g = _mg(n, pairs)

@@ -1,6 +1,6 @@
 """In-process A/B of two source trees on one benchmark plan.
 
-    python3 tools/ab_calls.py PARENT_TREE CHANGE_TREE --workload NAME
+    python3 tools/ab_calls.py PARENT_TREE CHANGE_TREE [--workload NAME]...
         --rounds N [--seed S]
 
 Each tree is a checkout root holding src/gainsparse.  The plan of the
@@ -16,7 +16,8 @@ right after each call, so its figure, calls over references, is free of
 the machine's speed drift as the benchmark's metrics are.  A round's
 ratio is the change's figure over the parent's: below 1 the change ran
 faster.  Prints every round's ratio, the median ratio with its
-quartiles, and in how many rounds the change was faster.
+quartiles, and in how many rounds the change was faster.  --workload may
+repeat; without it every workload runs, one after another.
 
 It also prints, per tree, the median seconds of one whole cycle (every
 timed call plus its reference reading, which is what the benchmark's
@@ -25,7 +26,9 @@ timings a run of BENCHMARK.json's run_seconds would pool at that speed:
 the worker stops at the first whole cycle after run_seconds, with at
 least worker.MIN_ITEMS calls.  From HD_LIMIT pooled timings on,
 perfbench/stats.hd_quantile underflows (a wrong p50 first, then
-ZeroDivisionError), so a count at or above it is flagged.
+ZeroDivisionError), so a count at or above it is flagged.  The run ends
+with one summary line per workload: its median ratio, both trees'
+pooled-timing counts and any such warning.
 
 Only the standard library runs; perfbench is imported and not changed,
 and no bytecode or output file is written into either tree.
@@ -109,6 +112,45 @@ def rounds(parent, change, workload, seed, count, work):
                   for side, tree in order}
 
 
+def ab_workload(trees, workload, seed, count, run_s):
+    """A/B one workload and print its rounds and per-tree cycles; return
+    its summary line."""
+    ratios = []
+    cycles = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="ab-calls-") as work:
+        for r, res in rounds(trees[0], trees[1], workload, seed, count, work):
+            p, c = (res[side]["call_s"] / res[side]["ref_s"]
+                    for side in ("parent", "change"))
+            ratios.append(c / p)
+            for side in cycles:
+                cycles[side].append(res[side]["call_s"] + res[side]["ref_s"])
+            print("%s round %d: parent %.3f change %.3f ratio %.3f"
+                  % (workload, r + 1, p, c, ratios[-1]), flush=True)
+    calls = res["parent"]["calls"]
+    quart = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
+             else [ratios[0]] * 3)
+    median = ("median change/parent ratio %.3f (quartiles %.3f-%.3f); "
+              "change faster in %d of %d rounds"
+              % (statistics.median(ratios), quart[0], quart[2],
+                 sum(x < 1 for x in ratios), len(ratios)))
+    print("%s: %s" % (workload, median))
+    pools = {}
+    for side, secs in cycles.items():
+        cycle_s = statistics.median(secs)
+        pools[side] = pooled(cycle_s, calls, run_s)
+        print("%s %s: %.3f s per whole cycle of %d calls; a %g s run pools "
+              "%d timings" % (workload, side, cycle_s, calls, run_s,
+                              pools[side]))
+    warn = ["WARNING: %s would pool %d timings, at or above the %d from "
+            "which stats.hd_quantile goes wrong" % (side, n, HD_LIMIT)
+            for side, n in pools.items() if n >= HD_LIMIT]
+    for line in warn:
+        print("%s %s" % (workload, line))
+    return "; ".join(["%s: %s; pooled timings parent %d, change %d"
+                      % (workload, median, pools["parent"], pools["change"])]
+                     + warn)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
@@ -117,7 +159,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True, choices=gen.WORKLOADS)
+    ap.add_argument("--workload", action="append", choices=gen.WORKLOADS,
+                    help="may repeat; every workload when not given")
     ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
@@ -126,34 +169,11 @@ def main(argv=None):
     trees = [os.path.abspath(t) for t in (args.parent, args.change)]
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         run_s = json.load(fh)["run_seconds"]
-    ratios = []
-    cycles = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-calls-") as work:
-        for r, res in rounds(trees[0], trees[1], args.workload, args.seed,
-                             args.rounds, work):
-            p, c = (res[side]["call_s"] / res[side]["ref_s"]
-                    for side in ("parent", "change"))
-            ratios.append(c / p)
-            for side in cycles:
-                cycles[side].append(res[side]["call_s"] + res[side]["ref_s"])
-            print("round %d: parent %.3f change %.3f ratio %.3f"
-                  % (r + 1, p, c, ratios[-1]), flush=True)
-    calls = res["parent"]["calls"]
-    quart = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
-             else [ratios[0]] * 3)
-    print("median change/parent ratio %.3f (quartiles %.3f-%.3f); "
-          "change faster in %d of %d rounds"
-          % (statistics.median(ratios), quart[0], quart[2],
-             sum(x < 1 for x in ratios), len(ratios)))
-    for side, secs in cycles.items():
-        cycle_s = statistics.median(secs)
-        count = pooled(cycle_s, calls, run_s)
-        print("%s: %.3f s per whole cycle of %d calls; a %g s run pools %d "
-              "timings" % (side, cycle_s, calls, run_s, count))
-        if count >= HD_LIMIT:
-            print("WARNING: %s would pool %d timings, at or above the %d "
-                  "from which stats.hd_quantile goes wrong"
-                  % (side, count, HD_LIMIT))
+    summary = [ab_workload(trees, workload, args.seed, args.rounds, run_s)
+               for workload in args.workload or gen.WORKLOADS]
+    print("summary:")
+    for line in summary:
+        print(line)
     return 0
 
 
