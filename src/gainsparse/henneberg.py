@@ -27,8 +27,9 @@ whose removal keeps the graph tight, then replay forward to emit moves
 whose edge ids match the replay, not the stripping order.
 
 check() is the library's verdict entry point.  It and tight_in_family
-share one lift route (_lift_violation) wherever lift_applies, and take
-the brute-force count elsewhere.
+share one lift route (_lift_violation, which lifts a cylinder graph over
+a small prime first) wherever lift_applies, and take the brute-force
+count elsewhere.
 """
 
 import random
@@ -39,15 +40,17 @@ from .errors import (UsageError, PreconditionError, InvalidMoveError,
                      NoCandidatesError, CertificateError, GenerationError,
                      ParseError, InternalInvariantError)
 from . import groups as G
-from .graphs import (ColoredGraph, Edge, normalized_triple, same_up_to_flip,
-                     parse_colored_graph, serialize_colored_graph)
+from .graphs import (MAX_VERTICES, ColoredGraph, Edge, normalized_triple,
+                     same_up_to_flip, parse_colored_graph,
+                     serialize_colored_graph)
 from .lifts import (reduce_colors, lift_refusal, lift_witness,
-                    disjoint_circuit_witness)
+                    disjoint_circuit_witness, _reduce, _small_prime)
 # Unused here: perfbench/spans.py patches it by name and fails without.
 from .lifts import cone_laman_via_lift  # noqa: F401
 from .sparsity import (ROSS, CONE, CYLINDER, DEFAULT_BUDGET, Verdict,
                        check_colored_sparsity, family_bound, family_count,
-                       graph_counts, is_kl_spanning, _minimize_witness)
+                       graph_counts, is_kl_spanning, _minimize_witness,
+                       _subset_violates)
 
 
 class H1c(namedtuple("H1c", ["n", "a", "b", "ca", "cb"])):
@@ -179,12 +182,24 @@ def _lift_violation(g, family):
     graph is cylinder-tight exactly when its reduction mod a safe prime
     passes that test and its underlying graph is (2,2)-spanning.  None
     when g is tight, else an unminimised violating edge set: lift_witness
-    of g (for cylinder, of its reduction), or, for a cylinder graph whose
+    of g (for cylinder, of a reduction), or, for a cylinder graph whose
     lift passes but which is not (2,2)-spanning, disjoint_circuit_witness.
-    """
-    found = lift_witness(g if family == CONE else reduce_colors(g)[0])
-    if (found is None and family == CYLINDER
-            and not is_kl_spanning(g, (2, 2))):
+
+    A cylinder graph is first reduced mod the small prime p0 of
+    lifts._small_prime.  Reducing mod an odd prime never makes a balanced
+    set unbalanced, so it only lowers cone bounds: a pass mod p0 is the
+    safe prime's pass.  A rejection is final when its set breaks g's own
+    count (_subset_violates, the minimiser's guard); one that does not
+    means a cycle's value vanished mod p0, and only then, or with no p0,
+    does the route reduce mod the safe prime of reduce_colors."""
+    if family == CONE:
+        return lift_witness(g)
+    p0 = _small_prime(g)
+    found = None if p0 is None else lift_witness(_reduce(g, p0))
+    if p0 is None or (found is not None
+                      and not _subset_violates(g, family, found)):
+        found = lift_witness(reduce_colors(g)[0])
+    if found is None and not is_kl_spanning(g, (2, 2)):
         found = disjoint_circuit_witness(g)
     return found
 
@@ -389,9 +404,10 @@ def deconstruct(g, family):
     family check (tight_in_family), and a graph failing either raises
     PreconditionError.  After that a candidate is accepted on the test
     _pick_reverse proves enough for its kind: the whole-graph count for
-    h1c and h1cp, the full check for h2c.  Each step records only its move and, for h2c, the split edge
-    as the predecessor holds it; the predecessor itself is dropped once
-    the next step is picked, so the strip holds one graph at a time and
+    h1c and h1cp, the full check for h2c.  Each step records only its
+    move and, for h2c, the split edge as the predecessor holds it; the
+    predecessor itself is dropped once the next step is picked, so the
+    strip holds one graph at a time and
     its memory is linear in m.  The forward replay then rebuilds the
     graph from the base to fix up h2c split ids, and the result is
     checked against g edge-for-edge (orientation free) before return.
@@ -517,8 +533,8 @@ def random_construct(family, steps, seed, group=None):
     draw keeps the graph tight, so no family check runs.  Most draws
     pass the local rules, so the retry cap only trips on a real bug.
     The cone group is picked from Z/3, Z/5, Z/7 unless `group` pins one;
-    Ross and cylinder groups are fixed by the family.
-    """
+    Ross and cylinder groups are fixed by the family.  Every move adds a
+    vertex, so more than MAX_VERTICES - base_n steps is a UsageError."""
     return _construct(family, steps, seed, group)[0]
 
 
@@ -527,6 +543,10 @@ def _construct(family, steps, seed, group=None):
     if steps < 0:
         raise UsageError("steps must be nonnegative")
     fam = family_def(family, group)
+    if steps > MAX_VERTICES - fam.base_n:
+        raise UsageError("steps must be at most %d: a %s certificate's graph "
+                         "holds at most %d vertices"
+                         % (MAX_VERTICES - fam.base_n, family, MAX_VERTICES))
     rng = random.Random(seed)
     if group is not None:
         spec = group
@@ -617,7 +637,8 @@ def parse_certificate(text):
     """Parse the certificate text format; inverse of serialize_certificate.
 
     Blank lines are skipped and # starts a comment on every line, inside
-    the base block and out, as in the graph format."""
+    the base block and out, as in the graph format.  Every move adds a
+    vertex: a move line past MAX_VERTICES - base.n is a ParseError."""
     family = None
     base = None
     base_lines = None
@@ -661,6 +682,10 @@ def parse_certificate(text):
             continue
         if base is None:
             raise ParseError(lineno, "move line before the base block")
+        if len(moves) == MAX_VERTICES - base.n:
+            raise ParseError(lineno, "more than %d moves: a certificate's "
+                             "graph holds at most %d vertices"
+                             % (len(moves), MAX_VERTICES))
         moves.append(_parse_move(line, lineno, base.spec))
     if base_lines is not None:
         raise ParseError(lineno, "begin base without end base")

@@ -15,8 +15,10 @@ polynomial time routes through here: the lift of a Z/p-colored graph with
 2n-1 edges is Laman-sparse exactly when the base is cone-Laman, a
 connected base has a connected lift exactly when its rho-rank is nonzero
 (and otherwise the component count is the index of the rho-image), and
-Z colors are first reduced modulo a safe prime that no cycle sum can
-reach; a cover above MAX_COVER is refused before it is built.
+Z colors are first reduced mod the small prime of _small_prime, and mod
+the safe prime of reduce_colors, which no cycle sum can reach, only when
+a cycle vanished (henneberg._lift_violation); a cover above MAX_COVER is
+refused before it is built.
 lift_refusal states what the lift check takes, lift_witness is the one
 call from a graph to it, disjoint_circuit_witness the cylinder witness
 when spanning fails, and sparsity._minimize_witness checks and shrinks
@@ -224,7 +226,7 @@ def path_color_sum(g, edge_ai, i, edge_ib):
 
 def lift_witness(g):
     """Play the (2,3) pebble game on the lift of g, a graph lift_refusal
-    takes for cone or reduce_colors of one it takes for cylinder, offering
+    takes for cone or one it takes for cylinder reduced mod a prime, offering
     the arcs the lift generates up to its first rejection, f.  None when
     g is cone-Laman, else a violating base edge set P: the base edges
     under f's circuit D, which the game names as it rejects f by reading
@@ -295,6 +297,26 @@ def _next_odd_prime(above):
     return c
 
 
+def _reduce(g, p):
+    """The Z graph g with its colors reduced mod the odd prime p."""
+    spec = G.GroupSpec.cyclic(p)
+    return ColoredGraph(spec, g.vertices,
+                        [(e.id, e.tail, e.head, spec.elem(e.color.coords[0]))
+                         for e in g.edges])
+
+
+def _small_prime(g):
+    """p0, the least odd prime above 3 max|c|, so no cycle of up to three
+    edges vanishes mod p0; None, tested before any prime search, when its
+    cover passes MAX_COVER or it cannot be below reduce_colors' prime."""
+    sizes = [abs(e.color.coords[0]) for e in g.edges]
+    top = max(sizes, default=0)
+    if ((3 * top + 1) * (g.n + g.m) <= MAX_COVER
+            and 3 * top < 2 * (sum(sizes) + 1)):
+        return _next_odd_prime(3 * top)
+    return None
+
+
 def reduce_colors(g):
     """Reduce Z colors mod a safe prime.  Returns (reduced graph, (p,)).
 
@@ -304,17 +326,14 @@ def reduce_colors(g):
     marginally below p/2, and differences of two such sums stay in
     (-p, p).  Whether a subgraph's cycle sums are all zero is therefore
     preserved; a cover above MAX_COVER is refused before p is sought.
+    The lift route comes here only when _small_prime's p0 cannot decide.
     """
     if (refusal := family_count(CYLINDER).refusal(g.spec)) is not None:
         raise refusal
     total = sum(abs(e.color.coords[0]) for e in g.edges)
     _check_cover(2 * (total + 1) * (g.n + g.m))
     p = _next_odd_prime(2 * (total + 1))
-    spec = G.GroupSpec.cyclic(p)
-    out = ColoredGraph(spec, g.vertices,
-                       [(e.id, e.tail, e.head, spec.elem(e.color.coords[0]))
-                        for e in g.edges])
-    return out, (p,)
+    return _reduce(g, p), (p,)
 
 
 # --- witnesses -----------------------------------------------------------

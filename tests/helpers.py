@@ -1,5 +1,7 @@
 """Builders and checks that more than one test module uses."""
 
+import random
+
 from gainsparse import SparsityParams, UncoloredMultigraph, is_kl_sparse
 from gainsparse.henneberg import _construct
 
@@ -10,6 +12,25 @@ def certificate_graph(family, steps, seed, group=None):
     """The graph of random_construct(family, steps, seed, group), as its
     construction built it."""
     return _construct(family, steps, seed, group)[1]
+
+
+def edited(g, seed, edit, colours=()):
+    """The (id, tail, head, colour coordinates) edges of g, with one plain
+    edge rewired, recoloured from `colours`, or overwritten by a copy of
+    another plain edge (edit "rewire", "recolour" or "copy")."""
+    rng = random.Random(seed)
+    raw = [(e.id, e.tail, e.head, e.color.coords) for e in sorted(g.edges)]
+    plain = [i for i, (_, u, v, _) in enumerate(raw) if u != v]
+    i = rng.choice(plain)
+    eid, u, v, c = raw[i]
+    if edit == "rewire":
+        u, v = rng.sample(g.vertices, 2)
+    elif edit == "recolour":
+        c = rng.choice([x for x in colours if x != c])
+    else:
+        _, u, v, c = raw[rng.choice([j for j in plain if j != i])]
+    raw[i] = (eid, u, v, c)
+    return raw
 
 
 def is_circuit_23(mg, edge_ids):

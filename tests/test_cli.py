@@ -413,6 +413,18 @@ def test_negative_budget_is_a_usage_error(tmp_path):
         0, "TIGHT\n", "")
 
 
+def test_construct_refuses_more_steps_than_vertices(tmp_path):
+    # a cylinder base has one vertex and each move adds one, so 99,999
+    # steps reach the 100,000 vertices a graph may hold
+    out = tmp_path / "cert.txt"
+    code, stdout, err = run_cli(["construct", "--family", "cylinder",
+                                 "--steps", "100000", "--seed", "1", out])
+    assert (code, stdout) == (2, "")
+    assert err == ("error: steps must be at most 99999: a cylinder "
+                   "certificate's graph holds at most 100000 vertices\n")
+    assert not out.exists()
+
+
 def test_lift_method_needs_square_count(tmp_path):
     for family, spec in (("cylinder", Z), ("cone", Z3)):
         f = write_graph(tmp_path / "ring.txt", _long_cycle(spec=spec))

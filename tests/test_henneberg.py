@@ -43,6 +43,7 @@ from gainsparse import (
     underlying,
     verify_certificate,
 )
+from gainsparse.graphs import MAX_VERTICES
 from helpers import certificate_graph
 
 Z = GroupSpec.parse("Z")
@@ -342,6 +343,15 @@ def test_random_construct_zero_steps():
     assert is_base(cert.base, "cylinder")
 
 
+def test_a_cylinder_certificate_past_the_safe_cover_cap_verifies():
+    # the safe prime's cover of this graph is 1,354,804 vertices and
+    # edges, above MAX_COVER; the final check lifts over a small prime
+    cert = random_construct("cylinder", 300, 1)
+    g = verify_certificate(cert)
+    assert (g.n, g.m) == (301, 601)
+    assert check(g, "cylinder", method="lift") == (True, True, None)
+
+
 def test_random_construct_group_override():
     spec = GroupSpec.parse("Z/11")
     cert = random_construct("cone", 3, 1, group=spec)
@@ -442,6 +452,32 @@ def test_certificate_parse_errors():
         parse_certificate("family cone\nbegin base\ngroup Z/5\nvertices 1\n"
                           "edge 0 2 1\nend base\n")
     assert ei.value.lineno == 5
+
+
+_CONE_HEAD = ("family cone\nbegin base\ngroup Z/5\nvertices 1\nedge 0 0 2\n"
+              "end base\n")
+
+
+def test_certificate_moves_are_capped_at_max_vertices(monkeypatch):
+    # every move adds a vertex, so a one-vertex base takes MAX_VERTICES - 1
+    # move lines; the parser only reads them, so one line repeats, and
+    # the line past the cap is refused before it is read
+    monkeypatch.setattr(gainsparse.henneberg, "MAX_VERTICES", 5)
+    move = "h1c n=1 a=0 b=0 ca=1 cb=2\n"
+    assert len(parse_certificate(_CONE_HEAD + move * 4).moves) == 4
+    with pytest.raises(ParseError) as ei:
+        parse_certificate(_CONE_HEAD + move * 4 + "wobble\n")
+    assert str(ei.value) == ("line 11: more than 4 moves: a certificate's "
+                             "graph holds at most 5 vertices")
+
+
+def test_random_construct_steps_are_capped_at_max_vertices():
+    for family, base_n in (("ross", 2), ("cone", 1), ("cylinder", 1)):
+        with pytest.raises(UsageError) as ei:
+            random_construct(family, MAX_VERTICES - base_n + 1, 1)
+        assert str(ei.value) == (
+            "steps must be at most %d: a %s certificate's graph holds at "
+            "most 100000 vertices" % (MAX_VERTICES - base_n, family))
 
 
 # the forward theorem and the reverse lemma the certificate paths rely on

@@ -9,9 +9,12 @@ new graph, though the route may report a different one.
 The lift route (check(..., method="lift")) is checked against itself
 above the brute-force budget of 24 edges.  Its inputs are certificate
 graphs (as random_construct builds them) with one plain edge rewired or
-recoloured, so m = 2n - 1 still holds: cone over Z/3, Z/5 and Z/7 at
-n = 50-300 and cylinder over Z at n = 20-60.  Cylinder stays small
-because its cover grows with m(n + m).
+recoloured, or overwritten by a copy of another edge, so m = 2n - 1
+still holds: cone over Z/3, Z/5 and Z/7 at n = 50-300 and cylinder over
+Z at n = 20-300.  A cylinder graph is lifted over a prime above three
+times its largest colour, so its cover grows with n + m, as a cone
+graph's does; the safe prime, whose cover grows with m(n + m), is needed
+only when a cycle's value vanishes mod that prime.
 
 The brute route (method="brute") is checked on Ross certificate graphs
 over Z^2 with one plain edge rewired, recoloured or overwritten by a
@@ -32,13 +35,15 @@ import pytest
 from gainsparse import (ColoredGraph, GroupSpec, Subgraph, check,
                         family_bound, subgraph_counts)
 from gainsparse.groups import CYCLIC, CYCLIC_PQ, FREE2
-from helpers import certificate_graph
+from helpers import certificate_graph, edited
 
 # (family, modulus or None for Z, n, seed, edit).  Most recolours and
 # some rewires stay tight, so the cases mix both verdicts.  A violation
 # costs 11 witness shrinks or minimality checks, each quadratic in the
 # witness; at n = 300 (a 322-edge witness) that is about 10 s, so the
-# violations here stop at n = 200.
+# rewired violations here stop at n = 200.  A copy leaves a parallel
+# pair of one colour, a two-edge witness, so the copies reach n = 300,
+# where the cylinder cover over the safe prime is above MAX_COVER.
 CASES = [
     ("cone", 3, 300, 2, "recolour"),
     ("cone", 3, 150, 3, "rewire"),
@@ -50,29 +55,13 @@ CASES = [
     ("cylinder", None, 20, 1, "rewire"),
     ("cylinder", None, 40, 1, "recolour"),
     ("cylinder", None, 60, 2, "rewire"),
+    ("cylinder", None, 150, 1, "copy"),
+    ("cylinder", None, 300, 2, "copy"),
 ]
 
 
 def _raw(g):
     return [(e.id, e.tail, e.head, e.color.coords) for e in sorted(g.edges)]
-
-
-def _edited(g, seed, edit, colours):
-    """g with one plain edge rewired, recoloured from `colours`, or
-    overwritten by a copy of another edge."""
-    rng = random.Random(seed)
-    raw = _raw(g)
-    plain = [i for i, (_, u, v, _) in enumerate(raw) if u != v]
-    i = rng.choice(plain)
-    eid, u, v, c = raw[i]
-    if edit == "rewire":
-        u, v = rng.sample(g.vertices, 2)
-    elif edit == "recolour":
-        c = rng.choice([x for x in colours if x != c])
-    else:
-        _, u, v, c = raw[rng.choice([j for j in plain if j != i])]
-    raw[i] = (eid, u, v, c)
-    return raw
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +72,7 @@ def _input(case):
     g = certificate_graph(family, n - 1, seed, spec)
     assert g.n == n and g.m == 2 * n - 1
     colours = [(x,) for x in (range(p) if p else range(-2, 3))]
-    h = ColoredGraph(spec, g.vertices, _edited(g, seed, edit, colours))
+    h = ColoredGraph(spec, g.vertices, edited(g, seed, edit, colours))
     return h, check(h, family, method="lift")
 
 
@@ -107,7 +96,7 @@ def _brute_input(case):
     assert g.n == n and g.m == 2 * n - 2 <= 24
     colours = [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
     h = ColoredGraph(GroupSpec.parse(group), g.vertices,
-                     _edited(g, seed, edit, colours))
+                     edited(g, seed, edit, colours))
     return h, check(h, family, method="brute")
 
 

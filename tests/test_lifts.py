@@ -3,16 +3,18 @@ reduction, and orbit-circuit elimination."""
 
 import random
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import gainsparse.henneberg
 import gainsparse.lifts
 import gainsparse.sparsity
 import oracles
-from helpers import certificate_graph, is_circuit_23
+from helpers import certificate_graph, edited, is_circuit_23
 from gainsparse import (
     ColoredGraph,
     GroupSpec,
@@ -39,7 +41,10 @@ from gainsparse import (
     reduce_colors,
     rho_rank,
     subgraph_counts,
+    tight_in_family,
 )
+from gainsparse.lifts import MAX_COVER, lift_witness
+from gainsparse.sparsity import _subset_violates
 
 P23 = SparsityParams(2, 3)
 Z = GroupSpec.parse("Z")
@@ -531,18 +536,66 @@ def test_a_small_prime_pass_is_a_safe_prime_pass(steps, seed, rewire):
     # over Z: a graph whose colours mod p pass the lift check passes it
     # with the safe prime of reduce_colors too.  p0, the smallest odd
     # prime above 3 max|c|, keeps every cycle of up to three edges nonzero
-    g = certificate_graph("cylinder", steps, seed)
-    if rewire:
-        rng = random.Random(seed)
-        edges = [(e.id, e.tail, e.head, e.color) for e in sorted(g.edges)]
-        i = rng.choice([i for i, e in enumerate(edges) if e[1] != e[2]])
-        edges[i] = (edges[i][0], *rng.sample(g.vertices, 2), edges[i][3])
-        g = ColoredGraph(Z, g.vertices, edges)
+    g = _edited(certificate_graph("cylinder", steps, seed), seed,
+                "rewire" if rewire else None)
     assert g.m == 2 * g.n - 1
     safe = cone_laman_via_lift(reduce_colors(g)[0])
     p0 = sympy.nextprime(3 * max(abs(e.color.coords[0]) for e in g.edges))
     for p in (3, 5, 7, p0):
         assert safe or not cone_laman_via_lift(_mod(g, p)), p
+
+
+def _edited(g, seed, edit):
+    """The Z graph g as it is (edit None) or helpers.edited."""
+    if edit is None:
+        return g
+    return ColoredGraph(Z, g.vertices, edited(g, seed, edit))
+
+
+def _safe_prime_check(g):
+    """check(g, "cylinder", method="lift") with no small prime tried, so
+    its lift runs over the safe prime of reduce_colors alone."""
+    with mock.patch.object(gainsparse.henneberg, "_small_prime",
+                           lambda g: None):
+        return check(g, "cylinder", method="lift")
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=3, max_value=60),
+       st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([None, "rewire", "copy"]))
+def test_the_small_prime_route_gives_the_safe_prime_verdict(steps, seed,
+                                                           edit):
+    # a pass mod p0 is the safe prime's pass, and a rejection is kept
+    # only when its set breaks g's own count, so verdicts agree and the
+    # witness is a minimal violating set of g
+    g = _edited(certificate_graph("cylinder", steps, seed), seed, edit)
+    total = sum(abs(e.color.coords[0]) for e in g.edges)
+    assume(2 * (total + 1) * (g.n + g.m) <= MAX_COVER)
+    v = check(g, "cylinder", method="lift")
+    assert v[:2] == _safe_prime_check(g)[:2]
+    assert tight_in_family(g, "cylinder") == v.tight
+    if not v.sparse:
+        assert _subset_violates(g, "cylinder", v.witness)
+        for e in v.witness:
+            assert not _subset_violates(g, "cylinder", v.witness - {e}), e
+
+
+@pytest.mark.parametrize("g, p", [
+    (ColoredGraph(Z, [0], [(0, 0, 0, (3,))]), 3),
+    (certificate_graph("cylinder", 10, 1), 3),
+    (certificate_graph("cylinder", 20, 1), 5),
+], ids=["loop", "n11", "n21"])
+def test_a_vanished_cycle_falls_back_to_the_safe_prime(g, p):
+    # a tight graph with a cycle whose value is a nonzero multiple of p:
+    # its lift mod p rejects a set that g's own count allows, so the
+    # route must not trust that rejection but decide over the safe prime
+    found = lift_witness(_mod(g, p))
+    assert found is not None and not _subset_violates(g, "cylinder", found)
+    with mock.patch.object(gainsparse.henneberg, "_small_prime",
+                           lambda g: p):
+        assert check(g, "cylinder", method="lift") == (True, True, None)
+        assert tight_in_family(g, "cylinder")
 
 
 def test_gauge_shift_gives_isomorphic_lift():

@@ -26,9 +26,13 @@ timings a run of BENCHMARK.json's run_seconds would pool at that speed:
 the worker stops at the first whole cycle after run_seconds, with at
 least worker.MIN_ITEMS calls.  From HD_LIMIT pooled timings on,
 perfbench/stats.hd_quantile underflows (a wrong p50 first, then
-ZeroDivisionError), so a count at or above it is flagged.  The run ends
+ZeroDivisionError), so a count at or above it is flagged.  Each tree's
+headroom is cycle_s * kmax / run_seconds, where kmax = (HD_LIMIT - 1)
+// calls is the most whole cycles a run may pool below HD_LIMIT: how
+many times faster the machine could run this tree before its benchmark
+run pools HD_LIMIT timings.  Below 1.0 it already does.  The run ends
 with one summary line per workload: its median ratio, both trees'
-pooled-timing counts and any such warning.
+pooled-timing counts and headrooms, and any such warning.
 
 Only the standard library runs; perfbench is imported and not changed,
 and no bytecode or output file is written into either tree.
@@ -96,6 +100,12 @@ def pooled(cycle_s, calls, run_s):
                        math.ceil(worker.MIN_ITEMS / calls))
 
 
+def headroom(cycle_s, calls, run_s):
+    """How many times faster a cycle of `calls` calls, now cycle_s
+    seconds, could run before a run of run_s seconds pools HD_LIMIT."""
+    return cycle_s * ((HD_LIMIT - 1) // calls) / run_s
+
+
 def rounds(parent, change, workload, seed, count, work):
     """Yield (round, {side: the child's result}) for side "parent" and
     "change"."""
@@ -134,21 +144,23 @@ def ab_workload(trees, workload, seed, count, run_s):
               % (statistics.median(ratios), quart[0], quart[2],
                  sum(x < 1 for x in ratios), len(ratios)))
     print("%s: %s" % (workload, median))
-    pools = {}
+    pools, rooms = {}, {}
     for side, secs in cycles.items():
         cycle_s = statistics.median(secs)
         pools[side] = pooled(cycle_s, calls, run_s)
+        rooms[side] = headroom(cycle_s, calls, run_s)
         print("%s %s: %.3f s per whole cycle of %d calls; a %g s run pools "
-              "%d timings" % (workload, side, cycle_s, calls, run_s,
-                              pools[side]))
+              "%d timings; headroom %.2f" % (workload, side, cycle_s, calls,
+                                             run_s, pools[side], rooms[side]))
     warn = ["WARNING: %s would pool %d timings, at or above the %d from "
             "which stats.hd_quantile goes wrong" % (side, n, HD_LIMIT)
             for side, n in pools.items() if n >= HD_LIMIT]
     for line in warn:
         print("%s %s" % (workload, line))
-    return "; ".join(["%s: %s; pooled timings parent %d, change %d"
-                      % (workload, median, pools["parent"], pools["change"])]
-                     + warn)
+    return "; ".join(["%s: %s; pooled timings parent %d, change %d; "
+                      "headroom parent %.2f, change %.2f"
+                      % (workload, median, pools["parent"], pools["change"],
+                         rooms["parent"], rooms["change"])] + warn)
 
 
 def main(argv=None):

@@ -11,9 +11,9 @@ gainsparse imported from this checkout's src/:
 
 Each stage runs twice: untraced for its seconds, then under tracemalloc
 for its peak of traced allocations, in MB.  A stage the library refuses
-(say, a cylinder cover over its cap, or a Ross graph over the brute-force
-budget) prints the error's class and message, and the stages after it are
-skipped.  Nothing is written to disk.
+(say, a Ross graph over the brute-force budget) prints the error's class
+and message, and the stages after it are skipped.  Nothing is written to
+disk.
 """
 
 import argparse

@@ -6,11 +6,14 @@ Builds the lift-scale plan of perfbench/gen.py for the seed in a
 temporary directory, so the checkout is not written to, and runs every
 `check --method lift` input of its timed items once through
 gainsparse.check, with gainsparse imported from this checkout.  For each
-input it prints the lift's vertex and edge counts, the vertices that all
-pebble searches of the call reached (the `reached` counters of its
-games, summed) and the seconds the call took.  The benchmark's trace
-sees a lift check only as part of `cli.main`, so this shows which inputs
-the search cost sits in.
+input it prints the vertex and edge counts of the covers the call's
+games played, the vertices that all pebble searches of the call reached
+(the `reached` counters of its games, summed) and the seconds the call
+took.  A cover is read off the game that played it, so a cylinder check
+shows the cover over its small prime, and the two covers summed when it
+falls back to the safe prime.  The benchmark's trace sees a lift check
+only as part of `cli.main`, so this shows which inputs the search cost
+sits in.
 """
 
 import argparse
@@ -36,10 +39,10 @@ def lift_checks(plan):
 
 
 def measure(gs, path, family):
-    """(lift n, lift m, vertices reached, seconds) of one check."""
+    """(lift n, lift m, vertices reached, seconds) of one check; the lift
+    counts are summed over the covers its games played."""
     with open(path) as fh:
         g = gs.parse_colored_graph(fh.read())
-    sg = gs.build_lift(g if family == "cone" else gs.reduce_colors(g)[0])
     games = []
     game_cls = gs.sparsity._PebbleGame
     real_init = game_cls.__init__
@@ -55,7 +58,13 @@ def measure(gs, path, family):
         dt = time.perf_counter() - t0
     finally:
         game_cls.__init__ = real_init
-    return sg.n, sg.m, sum(game.reached for game in games), dt
+    # a lift game plays the arcs() of its cover; base games play a local
+    # generator of the graph's edges
+    covers = [game.arcs.__self__ for game in games
+              if isinstance(getattr(game.arcs, "__self__", None),
+                            gs.lifts.SymmetricGraph)]
+    return (sum(sg.n for sg in covers), sum(sg.m for sg in covers),
+            sum(game.reached for game in games), dt)
 
 
 def main(argv=None):
